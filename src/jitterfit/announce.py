@@ -69,11 +69,13 @@ class RegimeAnnouncement:
 
 
 def _validated(ann: RegimeAnnouncement) -> RegimeAnnouncement:
-    if ann.version != WIRE_VERSION:
+    if isinstance(ann.version, bool) or ann.version != WIRE_VERSION:
         raise WireFormatError(
             f"unsupported format version {ann.version!r}; this build speaks {WIRE_VERSION}"
         )
     try:
+        if isinstance(ann.model, bool):
+            raise ValueError(ann.model)
         model = ModelKind(ann.model)
     except ValueError:
         raise WireFormatError(f"unknown model id {ann.model!r}") from None
@@ -92,7 +94,7 @@ def _validated(ann: RegimeAnnouncement) -> RegimeAnnouncement:
         ("window start", ann.window_start, 0),
         ("window length", ann.window_len, 1),
     ):
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise WireFormatError(f"{name} must be an integer, got {value!r}")
         if not low <= value <= _U32_MAX:
             raise WireFormatError(

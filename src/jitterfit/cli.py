@@ -202,10 +202,10 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
 def _load_trace(args) -> JitterTrace:
     if args.max_iters < 1:
         raise JitterFitError(f"--max-iters must be >= 1, got {args.max_iters}")
-    trace = ingest_trace(args.input, offset=args.offset)
     cap = args.history_cap
     if cap < 0:
         raise JitterFitError(f"--history-cap must be >= 0, got {cap}")
+    trace = ingest_trace(args.input, offset=args.offset)
     if cap and len(trace) > cap:
         trace = JitterTrace(
             trace.samples[-cap:], source=f"{trace.source} (last {cap} samples)"
@@ -385,9 +385,20 @@ def _cmd_announce_encode(args) -> int:
             model = _MODEL_NAMES[model.strip().lower()]
         except KeyError:
             raise JitterFitError(f"unknown model name {payload['model']!r}") from None
+    elif not isinstance(model, int):
+        raise JitterFitError(f"model must be a name or an integer id, got {model!r}")
+    params = payload["params"]
+    if not isinstance(params, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
+    ):
+        raise JitterFitError(f"params must be a JSON array of numbers, got {params!r}")
+    try:
+        params = tuple(float(p) for p in params)
+    except OverflowError:
+        raise JitterFitError("params must be within the range of a double") from None
     record = RegimeAnnouncement(
         model=model,
-        params=tuple(payload["params"]),
+        params=params,
         window_start=payload["window_start"],
         window_len=payload["window_len"],
         version=payload.get("version", WIRE_VERSION),

@@ -129,6 +129,21 @@ def log_pdf(params: ModelParams, v: float) -> float:
     return (a - 1.0) * math.log(v) - v / b - a * math.log(b) - ln_gamma(a)
 
 
+def _log_pdf_unchecked(params: ModelParams, v: np.ndarray, log_v) -> np.ndarray:
+    """Log-densities at values already known to be in the support:
+    ``v >= 0`` for an exponential model, ``v > 0`` with ``log_v = ln v`` for
+    a gamma one (``log_v`` is unused for an exponential model).
+
+    Far-tail values can overflow ``rate * v`` or ``v / b``; the resulting
+    -inf is exactly the right log-density there, so callers silence
+    overflow warnings.
+    """
+    if params.kind is ModelKind.EXPONENTIAL:
+        return math.log(params.rate) - params.rate * v
+    a, b = params.shape, params.scale
+    return (a - 1.0) * log_v - v / b - (a * math.log(b) + ln_gamma(a))
+
+
 def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     """Vectorized :func:`log_pdf` over a 1-d array of jitter values."""
     v = np.asarray(values, dtype=np.float64)
@@ -137,10 +152,8 @@ def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     out = np.full(v.shape, -np.inf, dtype=np.float64)
     if params.kind is ModelKind.EXPONENTIAL:
         ok = v >= 0.0
-        # rate * v can overflow for far-tail values; the resulting -inf is
-        # exactly the right log-density there
         with np.errstate(over="ignore"):
-            out[ok] = math.log(params.rate) - params.rate * v[ok]
+            out[ok] = _log_pdf_unchecked(params, v[ok], None)
         return out
     a, b = params.shape, params.scale
     if a < 1.0 and np.any(v == 0.0):
@@ -150,7 +163,7 @@ def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     pos = v > 0.0
     vp = v[pos]
     with np.errstate(over="ignore"):
-        out[pos] = (a - 1.0) * np.log(vp) - vp / b - (a * math.log(b) + ln_gamma(a))
+        out[pos] = _log_pdf_unchecked(params, vp, np.log(vp))
     if a == 1.0:
         out[v == 0.0] = -math.log(b)
     return out
@@ -202,8 +215,16 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
         raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
     if max_newton_iters < 1:
         raise ParameterDomainError("max_newton_iters must be at least 1")
-    mean = float(arr.mean())
-    mean_log = float(np.log(arr).mean())
+    return _gamma_from_log_moments(
+        float(arr.mean()), float(np.log(arr).mean()), tol, max_newton_iters
+    )
+
+
+def _gamma_from_log_moments(
+    mean: float, mean_log: float, tol: float = 1e-10, max_newton_iters: int = 100
+) -> ModelParams:
+    """The Newton shape solve of :func:`mle_gamma`, from ``mean`` and
+    ``mean(ln v)`` of samples the caller has already validated."""
     s = math.log(mean) - mean_log
     # Jensen guarantees s >= 0 with equality only for constant data, so a
     # non-positive s (allowing for rounding) has no interior optimum.

@@ -160,6 +160,14 @@ def test_encode_validation():
         encode(record(window_len=2**32))
     with pytest.raises(WireFormatError, match="integer"):
         encode(record(window_start="12"))
+    with pytest.raises(WireFormatError, match="window start must be an integer"):
+        encode(record(window_start=False))
+    with pytest.raises(WireFormatError, match="window length must be an integer"):
+        encode(record(window_len=True))
+    with pytest.raises(WireFormatError, match="model"):
+        encode(record(model=True))
+    with pytest.raises(WireFormatError, match="version"):
+        encode(record(version=True))
     with pytest.raises(WireFormatError, match="model"):
         encode(record(model=3))
 

@@ -160,6 +160,11 @@ def test_empty_trace_is_reported(tmp_path, capsys):
     assert "empty trace" in capsys.readouterr().err
 
 
+def test_bad_history_cap_is_reported_before_reading(tmp_path, capsys):
+    assert main(["fit", str(tmp_path / "nope.txt"), "--history-cap", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --history-cap must be >= 0, got -1\n"
+
+
 def test_missing_file_is_reported(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.txt")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -236,6 +241,32 @@ def test_announce_encode_rejects_bad_json(tmp_path, capsys):
     src.write_text("{nope")
     assert main(["announce-encode", str(src)]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"params": "12"}, "params must be a JSON array of numbers"),
+        ({"params": 2.0}, "params must be a JSON array of numbers"),
+        ({"params": [True]}, "params must be a JSON array of numbers"),
+        ({"params": [None]}, "params must be a JSON array of numbers"),
+        ({"params": [10**400]}, "range of a double"),
+        ({"window_start": False}, "window start must be an integer"),
+        ({"window_len": True}, "window length must be an integer"),
+        ({"model": True}, "unknown model id"),
+        ({"model": [0]}, "model must be a name or an integer id"),
+        ({"version": True}, "unsupported format version"),
+    ],
+)
+def test_announce_encode_rejects_malformed_fields(tmp_path, capsys, overrides, message):
+    record = {"model": "exponential", "params": [2.0], "window_start": 0, "window_len": 5}
+    src = tmp_path / "record.json"
+    src.write_text(json.dumps({**record, **overrides}))
+    assert main(["announce-encode", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_announce_decode_rejects_bad_hex(capsys):

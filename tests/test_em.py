@@ -215,7 +215,7 @@ def test_em_fit_is_deterministic():
     assert first.iterations_used == second.iterations_used
 
 
-@pytest.mark.parametrize("c", [0.25, 3.7, 1000.0, 1e-4])
+@pytest.mark.parametrize("c", [0.25, 3.7, 1000.0, 1e-4, 1e-6, 1e6])
 def test_em_fit_is_scale_covariant(c):
     # Rescaling the samples by c rescales rate by 1/c and scale by c, leaves
     # shape alone, and cannot move any label: every log-density shifts by the
