@@ -24,7 +24,7 @@ from .errors import (
     ParameterDomainError,
     SingularDensityError,
 )
-from .special import digamma, ln_gamma, trigamma
+from .special import _ln_minus_digamma, ln_gamma, trigamma
 
 __all__ = [
     "GAMMA_SHAPE_CAP",
@@ -52,6 +52,11 @@ class ModelKind(IntEnum):
 
     EXPONENTIAL = 0
     GAMMA = 1
+
+
+# Smallest subset each family can be fitted on: the exponential mean needs
+# one sample, the gamma shape solve needs two distinct ones.
+MIN_SUBSET_SIZE = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
 
 
 def _finite_positive(value, name: str) -> float:
@@ -106,27 +111,9 @@ def log_pdf(params: ModelParams, v: float) -> float:
     Returns ``-inf`` where the density is zero (negative v, or v = 0 for a
     gamma model with shape > 1).  A gamma density with shape < 1 diverges at
     v = 0, which raises :class:`SingularDensityError` rather than returning
-    a misleading infinity.
+    a misleading infinity.  The one-element case of :func:`log_pdf_many`.
     """
-    v = float(v)
-    if not math.isfinite(v):
-        raise ParameterDomainError(f"jitter value must be finite, got {v!r}")
-    if params.kind is ModelKind.EXPONENTIAL:
-        if v < 0.0:
-            return -math.inf
-        return math.log(params.rate) - params.rate * v
-    a, b = params.shape, params.scale
-    if v < 0.0:
-        return -math.inf
-    if v == 0.0:
-        if a > 1.0:
-            return -math.inf
-        if a == 1.0:
-            return -math.log(b)
-        raise SingularDensityError(
-            f"gamma density with shape {a!r} < 1 diverges at v = 0"
-        )
-    return (a - 1.0) * math.log(v) - v / b - a * math.log(b) - ln_gamma(a)
+    return float(log_pdf_many(params, np.array([float(v)]))[0])
 
 
 def _log_pdf_unchecked(params: ModelParams, v: np.ndarray, log_v) -> np.ndarray:
@@ -182,10 +169,36 @@ def _checked_samples(samples, minimum: int, what: str) -> np.ndarray:
     return arr
 
 
+def _fit_sorted(
+    kind: ModelKind, s: np.ndarray, logs, tol: float = 1e-10, max_newton_iters: int = 100
+) -> ModelParams:
+    """The MLE of ``kind`` on finite positive samples ``s`` in ascending
+    order, with ``logs = ln s`` for a gamma fit (unused for an exponential
+    one).
+
+    Each mean is the sum over the samples in that order divided by their
+    count, so every caller that holds the same samples gets the same bits.
+    """
+    minimum = MIN_SUBSET_SIZE[kind]
+    if s.size < minimum:
+        raise InsufficientDataError(
+            f"{kind.name.lower()} fit needs at least {minimum} sample(s), got {s.size}"
+        )
+    # Not s.mean(): the same value, without its per-call overhead.
+    mean = float(s.sum()) / s.size
+    if kind is ModelKind.EXPONENTIAL:
+        return ModelParams.exponential(1.0 / mean)
+    return _gamma_from_log_moments(mean, float(logs.sum()) / s.size, tol, max_newton_iters)
+
+
 def mle_exponential(samples) -> ModelParams:
-    """Maximum-likelihood exponential fit: rate = 1 / sample mean."""
-    arr = _checked_samples(samples, 1, "exponential fit")
-    return ModelParams.exponential(1.0 / float(arr.mean()))
+    """Maximum-likelihood exponential fit: rate = 1 / sample mean.
+
+    The mean sums the samples in ascending order, so the fit depends only on
+    the samples, not on the order they come in.
+    """
+    arr = np.sort(_checked_samples(samples, 1, "exponential fit"))
+    return _fit_sorted(ModelKind.EXPONENTIAL, arr, None)
 
 
 def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> ModelParams:
@@ -198,7 +211,9 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
 
         a0 = (3 - s + sqrt((s - 3)**2 + 24 s)) / (12 s)
 
-    and stops when the relative step falls below ``tol``.
+    and stops when the relative step falls below ``tol``.  Both means sum
+    the samples in ascending order, so the fit, and whether it fails,
+    depend only on the samples, not on the order they come in.
 
     Raises
     ------
@@ -209,15 +224,13 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
         If the iteration budget runs out first; the exception carries the
         last shape iterate.
     """
-    arr = _checked_samples(samples, 2, "gamma fit")
+    arr = np.sort(_checked_samples(samples, 2, "gamma fit"))
     tol = float(tol)
     if not math.isfinite(tol) or tol <= 0.0:
         raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
     if max_newton_iters < 1:
         raise ParameterDomainError("max_newton_iters must be at least 1")
-    return _gamma_from_log_moments(
-        float(arr.mean()), float(np.log(arr).mean()), tol, max_newton_iters
-    )
+    return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr), tol, max_newton_iters)
 
 
 def _gamma_from_log_moments(
@@ -235,7 +248,7 @@ def _gamma_from_log_moments(
         )
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(max_newton_iters):
-        residual = math.log(a) - digamma(a) - s
+        residual = _ln_minus_digamma(a) - s
         slope = 1.0 / a - trigamma(a)
         a_next = a - residual / slope
         if a_next <= 0.0:

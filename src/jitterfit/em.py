@@ -10,14 +10,16 @@ log-density difference ``d(v) = (a-1) ln v + (rate - 1/b) v + c`` of the
 gamma(a, b) model over the exponential one.  ``d'`` changes sign at most
 once, so over the sorted samples the labels form at most three contiguous
 runs.  :func:`em_fit` sorts each trace once and works on those runs: it
-bisects for the flips of ``d``, refits each model from sums over its runs,
-and stops when the run boundaries repeat.  Samples too close to a flip for
-the sign of ``d`` to be trusted under rounding are labelled by the reference
-predicate instead: the normalized densities of :func:`e_step` fed to
+bisects for the flips of ``d``, refits each model on its runs, and stops
+when the run boundaries repeat.  Samples too close to a flip for the sign of
+``d`` to be trusted under rounding are labelled by the reference predicate
+instead: the normalized densities of :func:`e_step` fed to
 :func:`hard_assign`, ties going to model 0.  So the fit's labels always
-equal ``hard_assign(e_step(trace, params))``, and those two remain as the
-reference functions; :func:`m_step` runs once per fit, in trace order, to
-give the final parameters.
+equal ``hard_assign(e_step(trace, params))``.  Every maximum-likelihood fit
+sums its samples in ascending order, and a model's runs, end to end, are
+its samples in that order, so each refit equals :func:`m_step`'s by
+construction.  :func:`e_step` and :func:`m_step` remain as the reference
+functions; :func:`em_fit` calls neither.
 """
 
 import math
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    MIN_SUBSET_SIZE,
     ModelKind,
     ModelParams,
-    _gamma_from_log_moments,
+    _fit_sorted,
     _log_pdf_unchecked,
     log_pdf_many,
     mle_exponential,
@@ -53,40 +56,34 @@ __all__ = [
     "em_fit",
 ]
 
-# Smallest subset each family can be refitted on: the exponential mean needs
-# one sample, the gamma shape solve needs two distinct ones.
-MIN_SUBSET_SIZE = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
-
 # Half-width of the band around a flip of d, relative to the magnitudes of
 # the terms d and the two log-densities are summed from.  Their rounding
 # error is a few ulps of that magnitude, so outside the band the sign of d
 # decides a label exactly as the reference predicate would.
 _BAND_RELATIVE = 1e-12
 
-# Above this gamma shape, the log-moment gap of the shape solve is so small
-# that its last bits, which depend on the order the samples were summed in,
-# can decide whether the solve converges (it starts to fail near 1e5).  A
-# refit from sorted-order sums that lands above it, or fails, is redone in
-# trace order.
-_SORTED_REFIT_MAX_SHAPE = 1e3
-
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Iteration budget and candidate set for one EM run."""
+    """Iteration budget and candidate set for one EM run.
+
+    ``kinds`` holds the exponential and the gamma model once each; its order
+    sets the model indices, and with them which model wins a tie.
+    """
 
     max_iters: int = 50
-    kinds: tuple[ModelKind, ...] = (ModelKind.EXPONENTIAL, ModelKind.GAMMA)
+    kinds: tuple[ModelKind, ModelKind] = (ModelKind.EXPONENTIAL, ModelKind.GAMMA)
 
     def __post_init__(self):
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         object.__setattr__(self, "max_iters", int(self.max_iters))
         kinds = tuple(ModelKind(k) for k in self.kinds)
-        if len(kinds) < 2:
-            raise ValueError("the candidate set needs at least two models")
-        if len(set(kinds)) != len(kinds):
-            raise ValueError("candidate kinds must be distinct")
+        if sorted(kinds) != list(ModelKind):
+            raise ValueError(
+                "kinds must hold the exponential and the gamma model once each, "
+                f"in either order, got {kinds!r}"
+            )
         object.__setattr__(self, "kinds", kinds)
 
 
@@ -288,67 +285,50 @@ def _label_runs(
     return tuple(runs), dead
 
 
-def _labels_in_trace_order(runs, order: np.ndarray) -> np.ndarray:
-    by_rank = np.empty(order.size, dtype=np.int64)
-    for start, stop, model in runs:
-        by_rank[start:stop] = model
-    labels = np.empty(order.size, dtype=np.int64)
-    labels[order] = by_rank
-    return labels
+def _trace_labels(runs, s: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The labels of ``samples`` (in any order) under the runs over their
+    sorted copy ``s``.
+
+    Equal samples always share a label, so each run is a range of values: a
+    sample's run is the last one whose first value is not above it.
+    """
+    models = np.array([model for _, _, model in runs], dtype=np.int64)
+    first_values = s[[start for start, _, _ in runs]]
+    return models[np.searchsorted(first_values, samples, side="right") - 1]
 
 
-def _run_sums(runs, s: np.ndarray, logs: np.ndarray, params):
-    """Per model: sample count, sum of v and (gamma only) sum of ln v over
-    its runs; and the classification log-likelihood, from the same
-    per-sample log-densities as :func:`log_pdf_many`, summed run by run."""
-    sums = [[0, 0.0, 0.0] for _ in params]
+def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
+    """Classification log-likelihood from the same per-sample log-densities
+    as :func:`log_pdf_many`, summed run by run."""
     loglik = 0.0
     with np.errstate(over="ignore"):
         for start, stop, model in runs:
-            entry = sums[model]
-            entry[0] += stop - start
-            entry[1] += float(s[start:stop].sum())
-            if params[model].kind is ModelKind.GAMMA:
-                entry[2] += float(logs[start:stop].sum())
             densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
             loglik += float(densities.sum())
-    return sums, loglik
+    return loglik
 
 
-def _fit_from_sums(kind: ModelKind, count: int, sum_v: float, sum_log: float):
-    """The MLE from a subset's size and sums, or None where the outcome could
-    depend on the order the sums were taken in: a gamma solve that fails, or
-    lands above :data:`_SORTED_REFIT_MAX_SHAPE`."""
-    mean = sum_v / count
-    if kind is ModelKind.EXPONENTIAL:
-        return ModelParams.exponential(1.0 / mean)
-    try:
-        fitted = _gamma_from_log_moments(mean, sum_log / count)
-    except (DegenerateDataError, NonConvergenceError):
-        return None
-    return fitted if fitted.shape <= _SORTED_REFIT_MAX_SHAPE else None
+def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
+    """:func:`m_step` on the sorted samples ``s`` (``logs = ln s``) labelled
+    by ``runs``.
 
-
-def _m_step_runs(trace: JitterTrace, runs, order: np.ndarray, sums, prev_params):
-    """:func:`m_step` from the per-model sums over the sorted runs.
-
-    A refit whose outcome could depend on the order of summation is redone
-    on the samples in trace order, so whether a borderline refit fails, and
-    the note it leaves, match :func:`m_step`.
+    A model's subset in ascending order is its runs end to end (a view when
+    it has one run), so each refit is bit for bit the one :func:`m_step`
+    makes.
     """
     updated: list[ModelParams] = []
     notes: list[str] = []
     for index, prev in enumerate(prev_params):
-        count, sum_v, sum_log = sums[index]
+        own = [slice(start, stop) for start, stop, model in runs if model == index]
+
+        def subset(values):
+            return values[own[0]] if len(own) == 1 else np.concatenate([values[k] for k in own])
 
         def fit():
-            fitted = _fit_from_sums(prev.kind, count, sum_v, sum_log)
-            if fitted is None:
-                labels = _labels_in_trace_order(runs, order)
-                fitted = _fit_kind(prev.kind, trace.samples[labels == index])
-            return fitted
+            own_logs = subset(logs) if prev.kind is ModelKind.GAMMA else None
+            return _fit_sorted(prev.kind, subset(s), own_logs)
 
-        params, note = _refit(index, prev, count, fit)
+        params, note = _refit(index, prev, sum(k.stop - k.start for k in own), fit)
         updated.append(params)
         if note is not None:
             notes.append(note)
@@ -367,34 +347,30 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
 
     The samples are sorted once.  Each pass labels them as at most three
     runs by the sign of the log-density difference (see the module notes),
-    refits each model from sums over its runs, and compares run boundaries
-    with the previous pass.  Ties, including those that rounding makes in
-    the normalized densities, go to model 0, as in :func:`hard_assign`.
-    The labels are put back in trace order once, at the end, where one
-    :func:`m_step` in trace order repeats the last refit, so the final
-    parameters and ``classification_loglik`` do not depend on the order
-    the refits summed in.  The refits before it sum over the sorted runs,
-    so their parameters, and the ``loglik_history`` entries scored under
-    them, can differ from a trace-order computation in the last bits.
+    refits each model on its runs, and compares run boundaries with the
+    previous pass.  Ties, including those that rounding makes in the
+    normalized densities, go to model 0, as in :func:`hard_assign`.  Every
+    fit sums its samples in ascending order, so each refit equals the one
+    :func:`m_step` makes on the trace-order labels, bit for bit.  The labels
+    are put in trace order once, at the end, where ``classification_loglik``
+    is summed in trace order; the ``loglik_history`` entries before it are
+    summed run by run, so they can differ from a trace-order sum in the
+    last bits.
     """
+    s = np.sort(trace.samples)
+    logs = np.log(s)
     params: list[ModelParams] = []
     for index, kind in enumerate(config.kinds):
         try:
-            params.append(_fit_kind(kind, trace.samples))
+            params.append(_fit_sorted(kind, s, logs))
         except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
             raise SetupError(
                 f"initial fit failed for model {index} ({kind.name.lower()}): {exc}"
             ) from exc
     gamma_index = config.kinds.index(ModelKind.GAMMA)
-    # Equal samples always share a label, so the sort need not be stable.
-    order = np.argsort(trace.samples)
-    s = trace.samples[order]
-    logs = np.log(s)
     warnings: list[str] = []
     history: list[float] = []
     prev_runs = None
-    refit_from = params
-    fitted_on: list = [None] * len(params)  # runs of each model's latest refit
     converged = False
     iterations_used = config.max_iters
     for iteration in range(1, config.max_iters + 1):
@@ -404,30 +380,15 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
                 f"iteration {iteration}: {dead} sample(s) scored zero density "
                 "under every model, assigned to model 0"
             )
-        sums, loglik = _run_sums(runs, s, logs, params)
-        history.append(loglik)
+        history.append(_run_loglik(runs, s, logs, params))
         if runs == prev_runs:
             converged = True
             iterations_used = iteration
             break
-        refit_from = params
-        params, notes = _m_step_runs(trace, runs, order, sums, refit_from)
+        params, notes = _m_step_runs(runs, s, logs, params)
         warnings.extend(f"iteration {iteration}: {note}" for note in notes)
-        for index, (new, old) in enumerate(zip(params, refit_from)):
-            if new is not old:  # a frozen model keeps the very same object
-                fitted_on[index] = runs
         prev_runs = runs
-    labels = _labels_in_trace_order(runs, order)
-    # Redo the last refit in trace order.  A model it froze keeps the result
-    # of an earlier refit, which summed in sorted order: redo that one in
-    # trace order too.
-    refit_from = [
-        _fit_kind(prev.kind, trace.samples[_labels_in_trace_order(fitted, order) == index])
-        if prev is params[index] and fitted is not None
-        else prev
-        for index, (prev, fitted) in enumerate(zip(refit_from, fitted_on))
-    ]
-    params, _ = m_step(trace, labels, refit_from)
+    labels = _trace_labels(runs, s, trace.samples)
     final_densities = _log_density_matrix(trace.samples, params)
     loglik = float(np.take_along_axis(final_densities, labels[:, None], axis=1).sum())
     if converged:

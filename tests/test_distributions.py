@@ -2,13 +2,17 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from jitterfit import (
     DegenerateDataError,
     InsufficientDataError,
+    JitterFitError,
     ModelKind,
     ModelParams,
     NonConvergenceError,
@@ -240,6 +244,37 @@ def test_mle_gamma_shape_cap():
     x = np.abs(x)
     with pytest.raises(DegenerateDataError):
         mle_gamma(x)
+
+
+@pytest.mark.parametrize("spread", [0.003, 0.002, 0.0015])
+def test_mle_gamma_fits_narrow_traces(spread):
+    # Shapes of 1e5 to 5e5, well below the cap.  The solve's residual
+    # ln(a) - psi(a) - s must keep its relative precision there, or the
+    # Newton steps never settle below the tolerance.
+    mpmath.mp.dps = 30
+    for seed in range(40):
+        x = np.sort(np.exp(np.random.default_rng(seed).normal(0.0, spread, 200)))
+        fit = mle_gamma(x)
+        gap = math.log(float(x.sum()) / x.size) - float(np.log(x).sum()) / x.size
+        root = mpmath.findroot(
+            lambda a: mpmath.log(a) - mpmath.digamma(a) - mpmath.mpf(gap), fit.shape
+        )
+        assert abs(fit.shape - root) <= 1e-14 * root, f"seed {seed}"
+
+
+def _fit_or_error(fit, samples):
+    try:
+        return fit(samples)
+    except JitterFitError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=80), data=st.data())
+def test_mle_is_permutation_invariant(samples, data):
+    permuted = data.draw(st.permutations(samples))
+    for fit in (mle_exponential, mle_gamma):
+        assert _fit_or_error(fit, permuted) == _fit_or_error(fit, samples)
 
 
 def test_mle_gamma_budget_exhaustion_carries_iterate():

@@ -4,8 +4,8 @@
 kept here verbatim as the reference engine.  The parity test requires the
 same labels, iteration count, convergence and warnings, bit-identical final
 parameters and classification log-likelihood, and a log-likelihood history
-within 1e-12 relative: the engine's intermediate refits sum over sorted
-runs, so the history entries scored under them may differ by rounding.
+within 1e-12 relative: the engine sums each pass's log-densities run by run
+over the sorted samples, the oracle in trace order.
 
 The labeller tests check the engine's run labeller sample for sample against
 ``hard_assign(e_step(...))``, including where the sign test alone would be
@@ -34,12 +34,11 @@ from jitterfit import (
     log_pdf_many,
     m_step,
 )
-from jitterfit.distributions import _gamma_from_log_moments
 from jitterfit.em import (
     _fit_kind,
     _label_runs,
-    _labels_in_trace_order,
     _responsibilities,
+    _trace_labels,
 )
 from jitterfit.errors import (
     DegenerateDataError,
@@ -172,32 +171,64 @@ def test_engine_matches_oracle(mix):
         assert warned
 
 
-def _gamma_solve_converges(fit) -> bool:
+def _fit_or_error(trace, config, where):
+    """The oracle's fit, or its SetupError message, once the engine is seen
+    to give the same."""
     try:
-        fit()
-    except NonConvergenceError:
-        return False
-    return True
+        _oracle_em_fit(trace, config)
+    except SetupError as exc:
+        with pytest.raises(SetupError) as got:
+            em_fit(trace, config)
+        assert str(got.value) == str(exc), where
+        return str(exc)
+    return _assert_parity(trace, config, where)
+
+
+def _assert_same_outcome(got, want, perm, where):
+    """``got`` is the outcome on ``samples[perm]``, ``want`` on ``samples``.
+
+    The classification log-likelihood sums in trace order, as the oracle's
+    does, so it may differ from a permuted sum by rounding; all else is
+    exact."""
+    if isinstance(want, str):
+        assert got == want, where
+        return
+    assert not isinstance(got, str), where
+    assert np.array_equal(got.labels, want.labels[perm]), where
+    assert got.final_params == want.final_params, where
+    assert got.iterations_used == want.iterations_used, where
+    assert got.converged == want.converged, where
+    assert got.warnings == want.warnings, where
+    assert math.isclose(
+        got.classification_loglik, want.classification_loglik, rel_tol=1e-12
+    ), where
 
 
 @pytest.mark.parametrize("seed, spread", [(32, 0.002), (40, 0.002), (72, 0.003)])
-def test_engine_matches_oracle_when_refit_depends_on_summation_order(seed, spread):
-    # On these draws the gamma model's first refit (shape 1e5 and more)
-    # converges on one summation order of its samples but not on the other:
-    # on the trace-order sums for seeds 32 and 40, on the sorted-order ones
-    # for seed 72.  The engine redoes such a refit in trace order, so it
-    # still matches.
-    trace = JitterTrace(np.exp(np.random.default_rng(seed).normal(0.0, spread, 200)))
-    initial = [_fit_kind(kind, trace.samples) for kind in KIND_ORDERS[0]]
-    subset = trace.samples[hard_assign(e_step(trace, initial)) == 1]
-    s = np.sort(subset)
-    sorted_converges = _gamma_solve_converges(
-        lambda: _gamma_from_log_moments(float(s.sum()) / s.size, float(np.log(s).sum()) / s.size)
-    )
-    trace_converges = _gamma_solve_converges(lambda: _fit_kind(ModelKind.GAMMA, subset))
-    assert sorted_converges != trace_converges
+def test_engine_matches_oracle_on_every_order_of_a_narrow_trace(seed, spread):
+    # The gamma refits on these draws land at shape 1e5 and more.  While the
+    # fits summed samples in the order they came, the last bits of those
+    # sums, and so the order of the trace, could decide between a fit and a
+    # failed shape solve.
+    rng = np.random.default_rng(seed)
+    samples = np.exp(rng.normal(0.0, spread, 200))
     for kinds in KIND_ORDERS:
-        _assert_parity(trace, EMConfig(kinds=kinds), f"seed {seed} kinds {kinds}")
+        config = EMConfig(kinds=kinds)
+        where = f"seed {seed} kinds {[k.name for k in kinds]}"
+        want = _fit_or_error(JitterTrace(samples), config, where)
+        for _ in range(20):
+            perm = rng.permutation(samples.size)
+            got = _fit_or_error(JitterTrace(samples[perm]), config, where)
+            _assert_same_outcome(got, want, perm, where)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_em_fit_labels_follow_permuted_samples(seed):
+    trace = generate_synthetic(reference_spec(seed, 1500)).trace
+    want = em_fit(trace)
+    perm = np.random.default_rng(seed).permutation(len(trace))
+    got = em_fit(JitterTrace(trace.samples[perm]))
+    _assert_same_outcome(got, want, perm, f"seed {seed}")
 
 
 # ------------------------------------------------------------- run labeller
@@ -206,13 +237,12 @@ def test_engine_matches_oracle_when_refit_depends_on_summation_order(seed, sprea
 def _engine_labels(samples, params):
     """Labels and dead count from the engine's labeller, in input order."""
     samples = np.asarray(samples, dtype=np.float64)
-    order = np.argsort(samples, kind="stable")
-    s = samples[order]
+    s = np.sort(samples)
     gamma_index = next(i for i, p in enumerate(params) if p.kind is ModelKind.GAMMA)
     runs, dead = _label_runs(s, np.log(s), params, gamma_index)
     assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert runs[0][0] == 0 and runs[-1][1] == s.size
-    return _labels_in_trace_order(runs, order), dead
+    return _trace_labels(runs, s, samples), dead
 
 
 def _reference_labels(samples, params):

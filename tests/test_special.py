@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jitterfit import ParameterDomainError, digamma, ln_gamma, trigamma
+from jitterfit.special import _ln_minus_digamma
 
 mpmath.mp.dps = 30
 
@@ -56,6 +57,17 @@ def test_known_values():
     assert math.isclose(digamma(0.5), -EULER_GAMMA - 2.0 * math.log(2.0), rel_tol=1e-14)
     assert math.isclose(trigamma(1.0), math.pi**2 / 6.0, rel_tol=1e-14)
     assert math.isclose(trigamma(0.5), math.pi**2 / 2.0, rel_tol=1e-14)
+
+
+def test_ln_minus_digamma_keeps_relative_precision():
+    # ln(x) - psi(x) ~ 1/(2x) is what the gamma shape solve drives to its
+    # target; taken as a difference it loses ~1e-10 by x = 1e5.
+    for x in [float(x) for x in np.geomspace(10.0, 1e6, 241)]:
+        expected = mpmath.log(x) - mpmath.digamma(x)
+        assert abs(_ln_minus_digamma(x) - expected) <= 1e-14 * expected, x
+    for x in [float(x) for x in np.geomspace(1e-3, 10.0, 61)]:
+        expected = float(mpmath.log(x) - mpmath.digamma(x))
+        assert math.isclose(_ln_minus_digamma(x), expected, rel_tol=1e-12), x
 
 
 def test_recurrence_relations():
