@@ -26,6 +26,7 @@ from .scan import WindowSpec, scan_trace
 from .traceio import (
     JitterTrace,
     RegimeSpec,
+    _write_lines,
     emit_indicator_csv,
     generate_synthetic,
     ingest_trace,
@@ -346,9 +347,7 @@ def _cmd_gen(args) -> int:
     labeled = generate_synthetic(spec)
     write_trace(labeled.trace, args.out)
     labels_path = args.labels_out or f"{args.out}.labels"
-    with open(labels_path, "w", encoding="utf-8", newline="\n") as fh:
-        for label in labeled.truth_labels:
-            fh.write(f"{label}\n")
+    _write_lines(labels_path, labeled.truth_labels, "%d\n")
     sys.stdout.write(
         f"wrote {len(labeled.trace)} samples to {args.out} "
         f"(labels in {labels_path})\n"

@@ -178,14 +178,21 @@ def _fit_sorted(
 
     Each mean is the sum over the samples in that order divided by their
     count, so every caller that holds the same samples gets the same bits.
+    A sum past the largest double raises :class:`DegenerateDataError`;
+    callers silence numpy's overflow warning for it.
     """
     minimum = MIN_SUBSET_SIZE[kind]
     if s.size < minimum:
         raise InsufficientDataError(
             f"{kind.name.lower()} fit needs at least {minimum} sample(s), got {s.size}"
         )
+    total = float(s.sum())
+    if not math.isfinite(total):
+        raise DegenerateDataError(
+            "samples sum past the largest double; rescale the trace to fit it"
+        )
     # Not s.mean(): the same value, without its per-call overhead.
-    mean = float(s.sum()) / s.size
+    mean = total / s.size
     if kind is ModelKind.EXPONENTIAL:
         return ModelParams.exponential(1.0 / mean)
     return _gamma_from_log_moments(mean, float(logs.sum()) / s.size, tol, max_newton_iters)
@@ -195,10 +202,12 @@ def mle_exponential(samples) -> ModelParams:
     """Maximum-likelihood exponential fit: rate = 1 / sample mean.
 
     The mean sums the samples in ascending order, so the fit depends only on
-    the samples, not on the order they come in.
+    the samples, not on the order they come in.  Samples that sum past the
+    largest double raise :class:`DegenerateDataError`.
     """
     arr = np.sort(_checked_samples(samples, 1, "exponential fit"))
-    return _fit_sorted(ModelKind.EXPONENTIAL, arr, None)
+    with np.errstate(over="ignore"):
+        return _fit_sorted(ModelKind.EXPONENTIAL, arr, None)
 
 
 def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> ModelParams:
@@ -218,8 +227,9 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
     Raises
     ------
     DegenerateDataError
-        If s <= 0 (all samples effectively equal) or the shape iterate
-        escapes past :data:`GAMMA_SHAPE_CAP`.
+        If s <= 0 (all samples effectively equal), the shape iterate
+        escapes past :data:`GAMMA_SHAPE_CAP`, or the samples sum past the
+        largest double.
     NonConvergenceError
         If the iteration budget runs out first; the exception carries the
         last shape iterate.
@@ -230,7 +240,8 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
         raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
     if max_newton_iters < 1:
         raise ParameterDomainError("max_newton_iters must be at least 1")
-    return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr), tol, max_newton_iters)
+    with np.errstate(over="ignore"):
+        return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr), tol, max_newton_iters)
 
 
 def _gamma_from_log_moments(

@@ -301,11 +301,23 @@ def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
     """Classification log-likelihood from the same per-sample log-densities
     as :func:`log_pdf_many`, summed run by run."""
     loglik = 0.0
-    with np.errstate(over="ignore"):
-        for start, stop, model in runs:
-            densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
-            loglik += float(densities.sum())
+    for start, stop, model in runs:
+        densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
+        loglik += float(densities.sum())
     return loglik
+
+
+def _trace_loglik(labels: np.ndarray, samples: np.ndarray, params) -> float:
+    """Classification log-likelihood of ``samples`` under their ``labels``,
+    summed in trace order: the per-sample log-densities of
+    :func:`log_pdf_many`, filled in model by model."""
+    densities = np.empty(samples.size)
+    for index, model in enumerate(params):
+        mask = labels == index
+        v = samples[mask]
+        logs = np.log(v) if model.kind is ModelKind.GAMMA else None
+        densities[mask] = _log_pdf_unchecked(model, v, logs)
+    return float(densities.sum())
 
 
 def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
@@ -335,6 +347,10 @@ def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
     return updated, notes
 
 
+# Overflow is expected inside a fit: far-tail log-densities overflow to the
+# right -inf (see _log_pdf_unchecked), and a sample sum that overflows is a
+# DegenerateDataError (see _fit_sorted).  One errstate covers the whole fit.
+@np.errstate(over="ignore")
 def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     """Run hard-assignment EM on a trace.
 
@@ -389,8 +405,7 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
         warnings.extend(f"iteration {iteration}: {note}" for note in notes)
         prev_runs = runs
     labels = _trace_labels(runs, s, trace.samples)
-    final_densities = _log_density_matrix(trace.samples, params)
-    loglik = float(np.take_along_axis(final_densities, labels[:, None], axis=1).sum())
+    loglik = _trace_loglik(labels, trace.samples, params)
     if converged:
         # The last pass was scored under these same parameters.
         history[-1] = loglik

@@ -58,8 +58,22 @@ class JitterTrace:
         return int(self.samples.size)
 
 
+# Lines go through the parser and the writers in chunks, each parsed or
+# formatted by one C-level call, so no Python list or string ever holds a
+# whole trace.  The parser reads 64k characters at a time (about 3k samples),
+# the writers write 64k lines at a time.
+_READ_CHARS = 1 << 16
+_WRITE_LINES = 1 << 16
+
+
 def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
     """Read a trace file: one decimal sample per line, ``#`` for comments.
+
+    A sample line is accepted exactly when Python ``float()`` accepts the
+    line stripped of surrounding whitespace; the sample must then be finite,
+    and positive unless ``offset`` is set.  A file that is not UTF-8 text,
+    or a line that breaks these rules, raises :class:`TraceFormatError`,
+    naming the line when there is one.
 
     With ``offset=True`` the whole trace is shifted to be strictly positive:
     every value becomes ``v - min + eps`` with ``eps`` equal to 1e-6 of the
@@ -67,34 +81,21 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
     that dip to or below zero need this; without it a non-positive sample is
     an error naming its line.
     """
-    values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {lineno}: cannot parse {line!r} as a decimal sample",
-                    line_number=lineno,
-                ) from None
-            if not math.isfinite(value):
-                raise TraceFormatError(
-                    f"line {lineno}: sample must be finite, got {line!r}",
-                    line_number=lineno,
-                )
-            if not offset and value <= 0.0:
-                raise TraceFormatError(
-                    f"line {lineno}: non-positive sample {value!r}; "
-                    "pass offset=True (CLI: --offset) to shift the trace",
-                    line_number=lineno,
-                )
-            values.append(value)
-    if not values:
+    chunks: list[np.ndarray] = []
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := fh.readlines(_READ_CHARS):
+                chunks.append(_parse_chunk(lines, lineno + 1, offset))
+                lineno += len(lines)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise TraceFormatError(
+            f"trace is not UTF-8 text: cannot decode byte {bad:#04x} ({exc.reason})"
+        ) from None
+    arr = np.concatenate(chunks or [np.empty(0)])
+    if not arr.size:
         raise TraceFormatError("empty trace: file holds no samples")
-    arr = np.array(values, dtype=np.float64)
     source = str(path)
     if offset:
         vmin = float(arr.min())
@@ -105,15 +106,65 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
     return JitterTrace(arr, source=source)
 
 
+def _parse_chunk(lines: list[str], first: int, offset: bool) -> np.ndarray:
+    """The samples on ``lines``, the first of which is line ``first`` of the
+    file.
+
+    One bulk parse serves a chunk of plain sample lines.  A chunk with a
+    comment, a blank line, or a value the bulk parse cannot take or the
+    trace must not hold goes through the line loop, which skips the first
+    two and names the line of the first error.
+    """
+    try:
+        values = np.array(list(map(float, lines)), dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all() and (offset or (values > 0.0).all()):
+            return values
+    kept: list[float] = []
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise TraceFormatError(
+                f"line {lineno}: cannot parse {line!r} as a decimal sample",
+                line_number=lineno,
+            ) from None
+        if not math.isfinite(value):
+            raise TraceFormatError(
+                f"line {lineno}: sample must be finite, got {line!r}",
+                line_number=lineno,
+            )
+        if not offset and value <= 0.0:
+            raise TraceFormatError(
+                f"line {lineno}: non-positive sample {value!r}; "
+                "pass offset=True (CLI: --offset) to shift the trace",
+                line_number=lineno,
+            )
+        kept.append(value)
+    return np.array(kept, dtype=np.float64)
+
+
 def write_trace(trace: JitterTrace, path) -> None:
     """Write a trace in the line-per-sample format with 17 significant digits.
 
     17 digits make the round trip through :func:`ingest_trace` exact for
     every double.
     """
+    _write_lines(path, trace.samples, "%.17g\n")
+
+
+def _write_lines(path, values: np.ndarray, fmt: str) -> None:
+    """Write each of ``values`` as ``fmt % value`` (one line each, LF) to a
+    new UTF-8 file at ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in trace.samples:
-            fh.write(f"{v:.17g}\n")
+        for start in range(0, values.size, _WRITE_LINES):
+            chunk = values[start : start + _WRITE_LINES].tolist()
+            fh.write((fmt * len(chunk)) % tuple(chunk))
 
 
 def emit_indicator_csv(assignment, sink) -> int:
@@ -131,14 +182,28 @@ def emit_indicator_csv(assignment, sink) -> int:
         return _write_indicators(labels, fh)
 
 
+# The ",z1,z2\n" ends of an indicator row for model 0 and for any other model.
+_ROW_TAILS = np.frombuffer(b",1,0\n,0,1\n", dtype=np.uint8).reshape(2, 5)
+
+
 def _write_indicators(labels: np.ndarray, fh) -> int:
+    """Write the header and the rows, each chunk of rows whose indexes have
+    the same number of digits built as one byte matrix: the digits of the
+    index, then the row's tail."""
     fh.write("index,z1,z2\n")
-    count = 0
-    for idx, label in enumerate(labels, start=1):
-        z1 = 1 if label == 0 else 0
-        fh.write(f"{idx},{z1},{1 - z1}\n")
-        count += 1
-    return count
+    lo, stop = 1, labels.size + 1
+    while lo < stop:
+        width = len(str(lo))
+        hi = min(stop, 10**width, lo + _WRITE_LINES)
+        rows = np.empty((hi - lo, width + 5), dtype=np.uint8)
+        index = np.arange(lo, hi, dtype=np.int64)
+        for col in range(width - 1, -1, -1):
+            rows[:, col] = index % 10 + ord("0")
+            index //= 10
+        rows[:, width:] = _ROW_TAILS[(labels[lo - 1 : hi - 1] != 0).astype(np.intp)]
+        fh.write(rows.tobytes().decode("ascii"))
+        lo = hi
+    return int(labels.size)
 
 
 @dataclass(frozen=True)

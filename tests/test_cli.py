@@ -1,11 +1,13 @@
 """Command-line behavior, exercised through main() for speed."""
 
+import hashlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,56 @@ def test_parse_error_names_line(tmp_path, capsys):
     path.write_text("1.0\nnot-a-number\n")
     assert main(["fit", str(path)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_non_utf8_trace_is_reported(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1.5\n\xff\xfe2\n")
+    assert main(["fit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace is not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_overflowing_sample_sum_is_reported_without_warnings(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e308\n1.5e308\n1.2e308\n1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", str(path)]) == 1
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: initial fit failed for model 0 (exponential): samples sum past "
+        "the largest double; rescale the trace to fit it\n"
+    )
+
+
+# Twelve segments, so the labels file holds two-digit labels, and enough
+# samples for the trace file to span several read chunks.
+GOLDEN_SEGMENTS = ",".join(
+    f"gamma:a={2 + k}:b=0.5:{300 + 37 * k}" if k % 2 == 0 else f"exp:mu={1 + k / 4}:{250 + 41 * k}"
+    for k in range(12)
+)
+
+
+def test_gen_and_fit_outputs_match_golden_digests(tmp_path, capsys):
+    # Recorded with the per-line writers the chunked ones replaced.
+    trace = _gen(tmp_path, segments=GOLDEN_SEGMENTS, seed=20031)
+    indicator = tmp_path / "z.csv"
+    code = main(
+        ["fit", str(trace), "--history-cap", "0", "--indicator-out", str(indicator)]
+    )
+    assert code == 0
+    capsys.readouterr()
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (trace, tmp_path / "trace.txt.labels", indicator)
+    }
+    assert digests == {
+        "trace.txt": "bd85fb57ff19f11ffdc48133a74670578f5e3a5c50024e2a3ad95e72f06ec015",
+        "trace.txt.labels": "462c7104c14688b3d714e90654fb88a017ed11b86e8a002c2833312866354292",
+        "z.csv": "2897d88d2c0b03eacae2f42e9d4f3dca6f984451ae3a0ea2fb4ea92e34c87104",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Density and estimator checks, with scipy.stats as the outside oracle."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -275,6 +276,21 @@ def test_mle_is_permutation_invariant(samples, data):
     permuted = data.draw(st.permutations(samples))
     for fit in (mle_exponential, mle_gamma):
         assert _fit_or_error(fit, permuted) == _fit_or_error(fit, samples)
+
+
+@pytest.mark.parametrize("fit", [mle_exponential, mle_gamma])
+def test_mle_rejects_samples_summing_past_the_largest_double(fit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateDataError, match="sum past the largest double"):
+            fit(np.array([1e308, 1.5e308, 1.2e308, 1.0]))
+    assert caught == []
+
+
+def test_mle_near_the_largest_double_still_fits():
+    # The sum, 1.7e308, is just below the largest double, so the fit goes ahead.
+    fit = mle_exponential(np.array([0.9e308, 0.8e308]))
+    assert fit.rate == 1.0 / ((0.8e308 + 0.9e308) / 2)
 
 
 def test_mle_gamma_budget_exhaustion_carries_iterate():

@@ -1,5 +1,7 @@
 """Hard-EM engine behavior: assignment semantics, refits, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,15 @@ def test_em_fit_setup_errors():
         em_fit(JitterTrace(np.array([1.0])))  # gamma init needs two samples
     with pytest.raises(SetupError):
         em_fit(JitterTrace(np.full(100, 2.0)))  # constant trace, no spread
+
+
+def test_em_fit_overflowing_sample_sum_is_a_setup_error():
+    trace = JitterTrace(np.array([1e308, 1.5e308, 1.2e308, 1.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SetupError, match="sum past the largest double"):
+            em_fit(trace)
+    assert caught == []
 
 
 def test_em_config_validation():

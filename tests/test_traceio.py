@@ -2,9 +2,12 @@
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from jitterfit import (
@@ -20,6 +23,7 @@ from jitterfit import (
     ingest_trace,
     write_trace,
 )
+from jitterfit import traceio
 
 
 # ---------------------------------------------------------------- ingestion
@@ -85,6 +89,179 @@ def test_ingest_empty_file(tmp_path):
         ingest_trace(path)
 
 
+def test_ingest_rejects_non_utf8_text(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"1.5\n\xff\xfe2\n")
+    with pytest.raises(TraceFormatError, match="not UTF-8 text"):
+        ingest_trace(path)
+
+
+def test_ingest_rejects_non_utf8_text_past_the_first_chunk(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(b"1.5\n" * 50000 + b"2\xc3\n")
+    with pytest.raises(TraceFormatError, match="not UTF-8 text"):
+        ingest_trace(path)
+
+
+# ------------------------------------------------ ingestion parity with loop
+#
+# ingest_trace parses whole chunks of lines at once and falls back to a line
+# loop on a chunk that needs it.  _oracle_ingest is that loop applied to the
+# whole file, as ingest_trace was written before chunking: every input must
+# give the same samples and source, or the same error.
+
+
+def _oracle_ingest(path, *, offset=False):
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise TraceFormatError(
+                    f"line {lineno}: cannot parse {line!r} as a decimal sample",
+                    line_number=lineno,
+                ) from None
+            if not math.isfinite(value):
+                raise TraceFormatError(
+                    f"line {lineno}: sample must be finite, got {line!r}",
+                    line_number=lineno,
+                )
+            if not offset and value <= 0.0:
+                raise TraceFormatError(
+                    f"line {lineno}: non-positive sample {value!r}; "
+                    "pass offset=True (CLI: --offset) to shift the trace",
+                    line_number=lineno,
+                )
+            values.append(value)
+    if not values:
+        raise TraceFormatError("empty trace: file holds no samples")
+    arr = np.array(values, dtype=np.float64)
+    source = str(path)
+    if offset:
+        vmin = float(arr.min())
+        vmax = float(arr.max())
+        eps = 1e-6 * (vmax - vmin) if vmax > vmin else 1e-9
+        arr = arr - vmin + eps
+        source = f"{source} (offset {eps - vmin:.17g})"
+    return JitterTrace(arr, source=source)
+
+
+def _outcome(ingest, path, offset):
+    try:
+        trace = ingest(path, offset=offset)
+    except TraceFormatError as exc:
+        return "error", str(exc), exc.line_number
+    return "trace", trace.samples.tobytes(), trace.source
+
+
+def _assert_ingest_parity(path, data: bytes, offset: bool):
+    path.write_bytes(data)
+    expected = _outcome(_oracle_ingest, path, offset)
+    assert _outcome(ingest_trace, path, offset) == expected
+    return expected
+
+
+@pytest.mark.parametrize("offset", [False, True])
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"# capture\n\n0.5\n  \n# more\n1.25e-3\n",
+        b"0.5\r\n1.5\r\n\r\n2.5\r\n",
+        b"0.5\r1.5\r2.5\r",
+        b"0.5\n1.5\r\n2.5\r3.5",
+        b"1,5\n",
+        b"1.5#c\n",
+        b"1.5 2.5\n",
+        b"1_000\n2_5.0_1\n",
+        "\u0661\u0662.\u0665\n\u0663\n".encode(),
+        b"1.5\x0c\n\x0c2.5\n",
+        b"1.5\x1c\n2.5\n",
+        b"1.5\x0b2.5\n",
+        "\ufeff1.5\n2.5\n".encode(),
+        "\ufeff# header\n1.5\n".encode(),
+        b"1.5\n2.5",
+        b"\t 1.5 \t\n",
+        "\u2003 1.5\u3000\n1.5\x85\n".encode(),
+        b"1.5\nnan\n",
+        b"1.5\n-inf\n",
+        b"1.5\n0\n2\n",
+        b"1.5\n-0.0\n",
+        b"-2\n-1\n",
+        b"1e400\n",
+        b"4.9e-325\n",
+        b"+1.5\n.5\n5.\n1E3\n",
+        b"",
+        b"\n\n# only comments\n",
+    ],
+)
+def test_ingest_matches_line_loop(tmp_path, data, offset):
+    _assert_ingest_parity(tmp_path / "trace.txt", data, offset)
+
+
+def _first_chunk_lines(path) -> int:
+    with open(path, "r", encoding="utf-8") as fh:
+        return len(fh.readlines(traceio._READ_CHARS))
+
+
+@pytest.mark.parametrize("offset", [False, True])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1.5", "bogus", "# note", ""])
+def test_ingest_matches_line_loop_at_a_chunk_boundary(tmp_path, bad, offset):
+    path = tmp_path / "trace.txt"
+    lines = [f"{0.001 * (k % 997 + 1):.17g}" for k in range(20000)]
+    path.write_text("\n".join(lines) + "\n")
+    boundary = _first_chunk_lines(path)
+    assert boundary < len(lines)
+    outcomes = set()
+    for where in (boundary - 2, boundary - 1, boundary, boundary + 1, len(lines) - 1):
+        edited = lines.copy()
+        edited[where] = bad
+        data = ("\n".join(edited) + "\n").encode()
+        kind, _, line_number = _assert_ingest_parity(path, data, offset)
+        outcomes.add((kind, line_number == where + 1))
+    if bad in ("# note", "") or (offset and bad in ("0", "-1.5")):
+        assert outcomes == {("trace", False)}
+    else:
+        assert outcomes == {("error", True)}
+
+
+_LINES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-300, 1e300).map(lambda v: f"{v:.17g}"),
+    st.integers(-3, 1000).map(str),
+    st.sampled_from(
+        ["", " ", "#", "# c", "nan", "-inf", "1,5", "1.5#c", "1.5 2.5", "1_000",
+         "\u0662", " 1.5\t", "1.5\x0c", "\x1c2", "\ufeff1", "1e999", "-0", "x"]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=40),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+    final_newline=st.booleans(),
+    read_chars=st.sampled_from([1, 4, 16, 1 << 16]),
+    offset=st.booleans(),
+)
+def test_ingest_matches_line_loop_on_random_lines(
+    tmp_path_factory, lines, ends, final_newline, read_chars, offset
+):
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    if lines and not final_newline:
+        text = text[: -len(ends[(len(lines) - 1) % len(ends)])]
+    path = tmp_path_factory.mktemp("ingest") / "trace.txt"
+    saved = traceio._READ_CHARS
+    traceio._READ_CHARS = read_chars
+    try:
+        _assert_ingest_parity(path, text.encode(), offset)
+    finally:
+        traceio._READ_CHARS = saved
+
+
 def test_write_then_ingest_round_trips_exactly(tmp_path):
     rng = np.random.default_rng(41)
     values = np.concatenate(
@@ -104,6 +281,59 @@ def test_write_uses_lf_endings(tmp_path):
     path = tmp_path / "out.txt"
     write_trace(JitterTrace(np.array([1.0, 2.0])), path)
     assert b"\r" not in path.read_bytes()
+
+
+_FORMAT_EDGES = [
+    5e-324,
+    1e-323,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    sys.float_info.max,
+    1e308,
+    0.1,
+    1.0 / 3.0,
+    0.30000000000000004,
+    4.35,
+    9007199254740993.0,
+    1e23,
+    9.999999999999999e22,
+    5e-324 * 3,
+    123456789012345678.0,
+    0.000123456789012345678,
+]
+
+
+def _expected_trace_bytes(values) -> bytes:
+    return "".join(f"{v:.17g}\n" for v in values).encode()
+
+
+def test_write_trace_matches_per_sample_format_on_edge_values(tmp_path):
+    path = tmp_path / "out.txt"
+    write_trace(JitterTrace(np.array(_FORMAT_EDGES)), path)
+    assert path.read_bytes() == _expected_trace_bytes(_FORMAT_EDGES)
+
+
+@pytest.mark.parametrize("size", [65535, 65536, 65537, 200001])
+def test_write_trace_matches_per_sample_format_across_chunks(tmp_path, size):
+    rng = np.random.default_rng(size)
+    values = np.exp(rng.uniform(-700.0, 700.0, size))
+    path = tmp_path / "out.txt"
+    write_trace(JitterTrace(values), path)
+    assert path.read_bytes() == _expected_trace_bytes(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=50,
+    )
+)
+def test_write_trace_matches_per_sample_format_on_any_double(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("write") / "out.txt"
+    write_trace(JitterTrace(np.array(values)), path)
+    assert path.read_bytes() == _expected_trace_bytes(values)
 
 
 # ----------------------------------------------------------- indicator CSV
@@ -133,6 +363,28 @@ def test_indicator_csv_to_path(tmp_path):
     count = emit_indicator_csv(_Labels([1, 1]), path)
     assert count == 2
     assert path.read_bytes() == b"index,z1,z2\n1,0,1\n2,0,1\n"
+
+
+def _expected_indicator(labels) -> str:
+    rows = ["index,z1,z2\n"]
+    for idx, label in enumerate(labels, start=1):
+        z1 = 1 if label == 0 else 0
+        rows.append(f"{idx},{z1},{1 - z1}\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, 9, 10, 99, 100, 65535, 65536, 65537, 1_000_000]
+)
+def test_indicator_csv_matches_per_row_format(tmp_path, size):
+    labels = np.random.default_rng(size).integers(0, 4, size)
+    expected = _expected_indicator(labels)
+    path = tmp_path / "z.csv"
+    assert emit_indicator_csv(_Labels(labels), path) == size
+    assert path.read_bytes() == expected.encode()
+    sink = io.StringIO()
+    assert emit_indicator_csv(_Labels(labels), sink) == size
+    assert sink.getvalue() == expected
 
 
 # -------------------------------------------------------------- JitterTrace
