@@ -13,6 +13,7 @@ produce byte-identical outputs, so runs can be diffed.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -356,10 +357,16 @@ def _cmd_gen(args) -> int:
 
 
 def _read_source(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise JitterFitError(
+            f"input is not UTF-8 text: cannot decode byte {bad:#04x} ({exc.reason})"
+        ) from None
 
 
 _MODEL_NAMES = {kind.name.lower(): kind for kind in ModelKind}
@@ -428,9 +435,15 @@ def _cmd_announce_decode(args) -> int:
     return 0
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # Parsing leaves a parser unchanged, so the one built on the first
+    # main() call serves every later one in the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except JitterFitError as exc:

@@ -105,6 +105,15 @@ class ModelParams:
         return cls(ModelKind.GAMMA, shape=shape, scale=scale)
 
 
+def _unchecked_params(kind: ModelKind, rate=None, shape=None, scale=None) -> ModelParams:
+    """A :class:`ModelParams` built without validation, for fits that have
+    checked their own results: ``kind`` a :class:`ModelKind`, and exactly
+    its fields given as finite positive floats."""
+    params = object.__new__(ModelParams)
+    params.__dict__.update(kind=kind, rate=rate, shape=shape, scale=scale)
+    return params
+
+
 def log_pdf(params: ModelParams, v: float) -> float:
     """Log-density of one model at a single jitter value ``v`` (seconds).
 
@@ -178,8 +187,10 @@ def _fit_sorted(
 
     Each mean is the sum over the samples in that order divided by their
     count, so every caller that holds the same samples gets the same bits.
-    A sum past the largest double raises :class:`DegenerateDataError`;
-    callers silence numpy's overflow warning for it.
+    A sum past the largest double, or a rate or scale that leaves the
+    finite positive doubles, raises :class:`DegenerateDataError`; callers
+    silence numpy's overflow warning for the sum.  The result is checked
+    here, so it is built without :class:`ModelParams`' validation.
     """
     minimum = MIN_SUBSET_SIZE[kind]
     if s.size < minimum:
@@ -194,7 +205,13 @@ def _fit_sorted(
     # Not s.mean(): the same value, without its per-call overhead.
     mean = total / s.size
     if kind is ModelKind.EXPONENTIAL:
-        return ModelParams.exponential(1.0 / mean)
+        rate = 1.0 / mean
+        if not math.isfinite(rate):
+            raise DegenerateDataError(
+                f"exponential rate 1/mean = {rate!r} is not a finite double; "
+                "rescale the trace to fit it"
+            )
+        return _unchecked_params(kind, rate=rate)
     return _gamma_from_log_moments(mean, float(logs.sum()) / s.size, tol, max_newton_iters)
 
 
@@ -203,7 +220,8 @@ def mle_exponential(samples) -> ModelParams:
 
     The mean sums the samples in ascending order, so the fit depends only on
     the samples, not on the order they come in.  Samples that sum past the
-    largest double raise :class:`DegenerateDataError`.
+    largest double, or whose mean is so small that its reciprocal
+    overflows, raise :class:`DegenerateDataError`.
     """
     arr = np.sort(_checked_samples(samples, 1, "exponential fit"))
     with np.errstate(over="ignore"):
@@ -228,8 +246,9 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
     ------
     DegenerateDataError
         If s <= 0 (all samples effectively equal), the shape iterate
-        escapes past :data:`GAMMA_SHAPE_CAP`, or the samples sum past the
-        largest double.
+        escapes past :data:`GAMMA_SHAPE_CAP`, the samples sum past the
+        largest double, or the scale ``mean / a`` overflows or underflows
+        to zero.
     NonConvergenceError
         If the iteration budget runs out first; the exception carries the
         last shape iterate.
@@ -274,7 +293,13 @@ def _gamma_from_log_moments(
         done = abs(a_next - a) <= tol * a_next
         a = a_next
         if done:
-            return ModelParams.gamma(a, mean / a)
+            scale = mean / a
+            if not (0.0 < scale < math.inf):
+                raise DegenerateDataError(
+                    f"gamma scale mean/shape = {scale!r} is not a finite positive "
+                    "double; rescale the trace to fit it"
+                )
+            return _unchecked_params(ModelKind.GAMMA, shape=a, scale=scale)
     raise NonConvergenceError(
         f"gamma shape solve did not converge in {max_newton_iters} iterations",
         last_iterate=a,

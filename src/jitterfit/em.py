@@ -20,10 +20,16 @@ sums its samples in ascending order, and a model's runs, end to end, are
 its samples in that order, so each refit equals :func:`m_step`'s by
 construction.  :func:`e_step` and :func:`m_step` remain as the reference
 functions; :func:`em_fit` calls neither.
+
+The loop is one private engine with two consumers.  :func:`em_fit` scores
+each pass and puts the labels in trace order;
+:func:`~jitterfit.scan.scan_trace` runs the engine on each window slice and
+reports only what it needs, the run lengths and the final parameters.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,9 +353,62 @@ def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
     return updated, notes
 
 
+class _EngineResult(NamedTuple):
+    """Where the sorted-order engine stopped: the sorted samples ``s``, the
+    last pass's ``runs`` over them, and the parameters after that pass."""
+
+    s: np.ndarray
+    runs: tuple[tuple[int, int, int], ...]
+    params: list[ModelParams]
+    iterations_used: int
+    converged: bool
+    warnings: list[str]
+
+
 # Overflow is expected inside a fit: far-tail log-densities overflow to the
 # right -inf (see _log_pdf_unchecked), and a sample sum that overflows is a
-# DegenerateDataError (see _fit_sorted).  One errstate covers the whole fit.
+# DegenerateDataError (see _fit_sorted).  The engine silences it itself, as
+# the scan calls it directly; em_fit does too, for its final log-likelihood.
+@np.errstate(over="ignore")
+def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _EngineResult:
+    """The hard-EM loop of :func:`em_fit` over validated ``samples``.
+
+    Sorts the samples once, fits the initial models on all of them, then
+    labels, compares run boundaries and refits until the runs repeat or the
+    budget runs out.  ``on_labelled(runs, s, logs, params)``, when given, is
+    called on every pass right after it is labelled, with the parameters that
+    labelled it.
+    """
+    s = np.sort(samples)
+    logs = np.log(s)
+    params: list[ModelParams] = []
+    for index, kind in enumerate(config.kinds):
+        try:
+            params.append(_fit_sorted(kind, s, logs))
+        except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
+            raise SetupError(
+                f"initial fit failed for model {index} ({kind.name.lower()}): {exc}"
+            ) from exc
+    gamma_index = config.kinds.index(ModelKind.GAMMA)
+    warnings: list[str] = []
+    prev_runs = None
+    for iteration in range(1, config.max_iters + 1):
+        runs, dead = _label_runs(s, logs, params, gamma_index)
+        if dead:
+            warnings.append(
+                f"iteration {iteration}: {dead} sample(s) scored zero density "
+                "under every model, assigned to model 0"
+            )
+        if on_labelled is not None:
+            on_labelled(runs, s, logs, params)
+        if runs == prev_runs:
+            return _EngineResult(s, runs, params, iteration, True, warnings)
+        params, notes = _m_step_runs(runs, s, logs, params)
+        warnings.extend(f"iteration {iteration}: {note}" for note in notes)
+        prev_runs = runs
+    return _EngineResult(s, runs, params, config.max_iters, False, warnings)
+
+
 @np.errstate(over="ignore")
 def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     """Run hard-assignment EM on a trace.
@@ -371,50 +430,26 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     are put in trace order once, at the end, where ``classification_loglik``
     is summed in trace order; the ``loglik_history`` entries before it are
     summed run by run, so they can differ from a trace-order sum in the
-    last bits.
+    last bits.  :func:`~jitterfit.scan.scan_trace` runs the same engine on
+    each window but scores no pass, since it reports no log-likelihood.
     """
-    s = np.sort(trace.samples)
-    logs = np.log(s)
-    params: list[ModelParams] = []
-    for index, kind in enumerate(config.kinds):
-        try:
-            params.append(_fit_sorted(kind, s, logs))
-        except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
-            raise SetupError(
-                f"initial fit failed for model {index} ({kind.name.lower()}): {exc}"
-            ) from exc
-    gamma_index = config.kinds.index(ModelKind.GAMMA)
-    warnings: list[str] = []
     history: list[float] = []
-    prev_runs = None
-    converged = False
-    iterations_used = config.max_iters
-    for iteration in range(1, config.max_iters + 1):
-        runs, dead = _label_runs(s, logs, params, gamma_index)
-        if dead:
-            warnings.append(
-                f"iteration {iteration}: {dead} sample(s) scored zero density "
-                "under every model, assigned to model 0"
-            )
+
+    def score(runs, s, logs, params) -> None:
         history.append(_run_loglik(runs, s, logs, params))
-        if runs == prev_runs:
-            converged = True
-            iterations_used = iteration
-            break
-        params, notes = _m_step_runs(runs, s, logs, params)
-        warnings.extend(f"iteration {iteration}: {note}" for note in notes)
-        prev_runs = runs
-    labels = _trace_labels(runs, s, trace.samples)
-    loglik = _trace_loglik(labels, trace.samples, params)
-    if converged:
+
+    fit = _em_sorted(trace.samples, config, score)
+    labels = _trace_labels(fit.runs, fit.s, trace.samples)
+    loglik = _trace_loglik(labels, trace.samples, fit.params)
+    if fit.converged:
         # The last pass was scored under these same parameters.
         history[-1] = loglik
     return Assignment(
         labels=labels,
-        iterations_used=iterations_used,
-        converged=converged,
-        final_params=tuple(params),
+        iterations_used=fit.iterations_used,
+        converged=fit.converged,
+        final_params=tuple(fit.params),
         classification_loglik=loglik,
         loglik_history=tuple(history),
-        warnings=tuple(warnings),
+        warnings=tuple(fit.warnings),
     )

@@ -8,10 +8,8 @@ disagree about the dominant model.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import ModelKind, ModelParams
-from .em import EMConfig, em_fit
+from .em import EMConfig, _em_sorted
 from .errors import InsufficientDataError, ParameterDomainError, SetupError
 from .traceio import JitterTrace
 
@@ -110,27 +108,33 @@ def scan_trace(
     so one window's outcome cannot leak into the next.  A window whose
     initial fits fail outright is recorded as a failure and skipped; the
     timeline is built from the windows that did run.
+
+    A window's fit is :func:`~jitterfit.em.em_fit`'s engine run on the
+    window slice, so its report equals the one built from ``em_fit`` on that
+    window.  The scan takes the label counts from the final run lengths and
+    skips what it never reports: the per-pass log-likelihoods, the labels in
+    trace order and the final log-likelihood.
     """
     reports: list[WindowReport] = []
     failures: list[WindowFailure] = []
     for start, end in sliding_windows(len(trace), spec):
-        window = JitterTrace(
-            trace.samples[start:end], source=f"{trace.source}[{start}:{end}]"
-        )
         try:
-            fit = em_fit(window, config)
+            fit = _em_sorted(trace.samples[start:end], config)
         except SetupError as exc:
             failures.append(WindowFailure(start, end, str(exc)))
             continue
-        counts = np.bincount(fit.labels, minlength=len(config.kinds))
-        dominant = config.kinds[int(np.argmax(counts))]
+        counts = [0] * len(config.kinds)
+        for run_start, run_stop, model in fit.runs:
+            counts[model] += run_stop - run_start
+        # Ties go to model 0, as np.argmax would give them.
+        dominant = config.kinds[0 if counts[0] >= counts[1] else 1]
         reports.append(
             WindowReport(
                 start=start,
                 end=end,
                 dominant=dominant,
                 fraction_model0=float(counts[0]) / spec.size,
-                params=tuple(fit.final_params),
+                params=tuple(fit.params),
                 converged=fit.converged,
             )
         )

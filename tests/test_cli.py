@@ -205,6 +205,16 @@ def test_overflowing_sample_sum_is_reported_without_warnings(tmp_path, capsys):
     )
 
 
+def test_subnormal_trace_is_reported(tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("5e-324\n1e-323\n5e-324\n")
+    assert main(["fit", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial fit failed for model 0 (exponential): exponential rate "
+        "1/mean = inf is not a finite double; rescale the trace to fit it\n"
+    )
+
+
 # Twelve segments, so the labels file holds two-digit labels, and enough
 # samples for the trace file to span several read chunks.
 GOLDEN_SEGMENTS = ",".join(
@@ -323,6 +333,27 @@ def test_announce_encode_rejects_malformed_fields(tmp_path, capsys, overrides, m
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+NON_UTF8_ERROR = (
+    "error: input is not UTF-8 text: cannot decode byte 0xff (invalid start byte)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["announce-encode", "announce-decode"])
+def test_announce_non_utf8_file_is_reported(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == NON_UTF8_ERROR
+
+
+@pytest.mark.parametrize("command", ["announce-encode", "announce-decode"])
+def test_announce_non_utf8_stdin_is_reported(capsys, monkeypatch, command):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([command]) == 1
+    assert capsys.readouterr().err == NON_UTF8_ERROR
 
 
 def test_announce_decode_rejects_bad_hex(capsys):

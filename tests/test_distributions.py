@@ -287,6 +287,30 @@ def test_mle_rejects_samples_summing_past_the_largest_double(fit):
     assert caught == []
 
 
+# Subnormal samples: the mean is about 5e-321, so its reciprocal overflows.
+SUBNORMAL_SAMPLES = np.array([5e-324, 1e-323, 5e-324])
+# Subnormals 990 to 1010 ulps above zero: mean ~1000 ulps, shape ~10**4,
+# so the scale mean/shape is a tenth of an ulp and underflows to 0.
+UNDERFLOWING_SCALE_SAMPLES = np.arange(990, 1011) * 5e-324
+# A spread of 600 decades puts the shape near 1e-3 and the scale past the
+# largest double.
+OVERFLOWING_SCALE_SAMPLES = np.array([1e-300, 1e307])
+
+
+def test_mle_exponential_rejects_a_rate_past_the_largest_double():
+    with pytest.raises(DegenerateDataError, match="rate 1/mean = inf"):
+        mle_exponential(SUBNORMAL_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "samples, scale",
+    [(UNDERFLOWING_SCALE_SAMPLES, "0.0"), (OVERFLOWING_SCALE_SAMPLES, "inf")],
+)
+def test_mle_gamma_rejects_a_scale_outside_the_positive_doubles(samples, scale):
+    with pytest.raises(DegenerateDataError, match=f"scale mean/shape = {scale} "):
+        mle_gamma(samples)
+
+
 def test_mle_near_the_largest_double_still_fits():
     # The sum, 1.7e308, is just below the largest double, so the fit goes ahead.
     fit = mle_exponential(np.array([0.9e308, 0.8e308]))

@@ -1,5 +1,6 @@
 """Hard-EM engine behavior: assignment semantics, refits, convergence."""
 
+import re
 import warnings
 
 import numpy as np
@@ -267,6 +268,32 @@ def test_em_fit_overflowing_sample_sum_is_a_setup_error():
         with pytest.raises(SetupError, match="sum past the largest double"):
             em_fit(trace)
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "samples, kinds, message",
+    [
+        # Subnormal samples: the exponential rate 1/mean overflows.
+        (
+            [5e-324, 1e-323, 5e-324],
+            (ModelKind.EXPONENTIAL, ModelKind.GAMMA),
+            "model 0 (exponential): exponential rate 1/mean = inf ",
+        ),
+        # The gamma scale mean/shape underflows to 0 (the gamma model goes
+        # first, since the exponential rate overflows here too).
+        (
+            np.arange(990, 1011) * 5e-324,
+            (ModelKind.GAMMA, ModelKind.EXPONENTIAL),
+            "model 0 (gamma): gamma scale mean/shape = 0.0 ",
+        ),
+    ],
+)
+def test_em_fit_rate_or_scale_outside_the_doubles_is_a_setup_error(
+    samples, kinds, message
+):
+    expected = re.escape(f"initial fit failed for {message}")
+    with pytest.raises(SetupError, match=expected):
+        em_fit(JitterTrace(samples), EMConfig(kinds=kinds))
 
 
 def test_em_config_validation():

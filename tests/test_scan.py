@@ -1,18 +1,24 @@
 """Sliding-window scans and the regime timeline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from jitterfit import (
+    EMConfig,
     InsufficientDataError,
     JitterTrace,
     ModelKind,
     ModelParams,
     ParameterDomainError,
     RegimeSpec,
+    SetupError,
+    WindowFailure,
+    WindowReport,
     WindowSpec,
+    em_fit,
     generate_synthetic,
     scan_trace,
     sliding_windows,
@@ -167,3 +173,85 @@ def test_pure_regime_windows_classify_correctly_across_seeds():
     assert gamma_total > 0 and exp_total > 0, counts
     assert gamma_correct >= 0.99 * gamma_total, counts
     assert exp_correct >= exp_needed, counts
+
+
+# ------------------------------------------------------- parity with em_fit
+
+
+def _em_fit_timeline(trace, spec, config):
+    """The reports and failures a scan must give, built from ``em_fit`` on
+    each window."""
+    reports, failures = [], []
+    for start, end in sliding_windows(len(trace), spec):
+        try:
+            fit = em_fit(JitterTrace(trace.samples[start:end]), config)
+        except SetupError as exc:
+            failures.append(WindowFailure(start, end, str(exc)))
+            continue
+        counts = np.bincount(fit.labels, minlength=len(config.kinds))
+        reports.append(
+            WindowReport(
+                start=start,
+                end=end,
+                dominant=config.kinds[int(np.argmax(counts))],
+                fraction_model0=float(counts[0]) / spec.size,
+                params=fit.final_params,
+                converged=fit.converged,
+            )
+        )
+    return tuple(reports), tuple(failures)
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [(ModelKind.EXPONENTIAL, ModelKind.GAMMA), (ModelKind.GAMMA, ModelKind.EXPONENTIAL)],
+)
+def test_window_reports_equal_em_fit_on_the_window(kinds):
+    # A constant block fills the first window, so that window fails; the
+    # drawn regimes after it include windows that use up the 50-pass budget,
+    # where the last refit moves the parameters after the last labelling.
+    config = EMConfig(kinds=kinds)
+    spec = WindowSpec(size=1000, stride=500)
+    gamma_index = kinds.index(ModelKind.GAMMA)
+    budget_hits = 0
+    for seed in range(6):
+        regimes = RegimeSpec(
+            segments=(
+                (ModelParams.exponential(1.0), 3000),
+                (ModelParams.gamma(1.5, 1.0), 3000),
+            ),
+            seed=seed,
+        )
+        drawn = generate_synthetic(regimes).trace.samples
+        trace = JitterTrace(np.concatenate([np.full(1000, 1.0), drawn]))
+        timeline = scan_trace(trace, spec, config)
+        reports, failures = _em_fit_timeline(trace, spec, config)
+        assert timeline.reports == reports
+        assert timeline.failures == failures
+        assert failures[0] == WindowFailure(
+            0,
+            1000,
+            f"initial fit failed for model {gamma_index} (gamma): samples show "
+            "no usable spread (log-moment gap s = 0.0); the gamma likelihood "
+            "has no finite optimum",
+        )
+        budget_hits += sum(not report.converged for report in reports)
+    assert budget_hits > 0
+
+
+def test_windows_whose_sums_overflow_fail_without_warnings():
+    samples = np.concatenate(
+        [np.full(100, 1e307), np.random.default_rng(5).exponential(1.0, 100) + 1e-9]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        timeline = scan_trace(JitterTrace(samples), WindowSpec(size=100))
+    assert timeline.failures == (
+        WindowFailure(
+            0,
+            100,
+            "initial fit failed for model 0 (exponential): samples sum past the "
+            "largest double; rescale the trace to fit it",
+        ),
+    )
+    assert [report.start for report in timeline.reports] == [100]
