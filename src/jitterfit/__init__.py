@@ -10,7 +10,6 @@ from .distributions import (
     GAMMA_SHAPE_CAP,
     ModelKind,
     ModelParams,
-    gamma_moment_guess,
     log_pdf,
     log_pdf_many,
     mle_exponential,
@@ -59,7 +58,6 @@ __all__ = [
     "log_pdf_many",
     "mle_exponential",
     "mle_gamma",
-    "gamma_moment_guess",
     # special functions
     "ln_gamma",
     "digamma",

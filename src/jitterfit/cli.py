@@ -244,7 +244,7 @@ def _cmd_fit(args) -> int:
     result = em_fit(trace, config)
     if args.indicator_out:
         emit_indicator_csv(result, args.indicator_out)
-    counts = np.bincount(result.labels, minlength=len(config.kinds))
+    counts = np.bincount(result.labels, minlength=len(ModelKind))
     summary = {
         "source": trace.source,
         "samples": len(trace),

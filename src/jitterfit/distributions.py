@@ -34,13 +34,17 @@ __all__ = [
     "log_pdf_many",
     "mle_exponential",
     "mle_gamma",
-    "gamma_moment_guess",
 ]
 
 # The Newton solve for the gamma shape aborts past this value: data that push
 # the shape this high are indistinguishable from a point mass at the scale of
 # double precision, and the fit would only chase rounding noise.
 GAMMA_SHAPE_CAP = 1e6
+
+# The Newton solve stops once a step moves the shape by at most this share of
+# it, and gives up with NonConvergenceError after this many steps.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITERS = 100
 
 
 class ModelKind(IntEnum):
@@ -178,9 +182,7 @@ def _checked_samples(samples, minimum: int, what: str) -> np.ndarray:
     return arr
 
 
-def _fit_sorted(
-    kind: ModelKind, s: np.ndarray, logs, tol: float = 1e-10, max_newton_iters: int = 100
-) -> ModelParams:
+def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
     """The MLE of ``kind`` on finite positive samples ``s`` in ascending
     order, with ``logs = ln s`` for a gamma fit (unused for an exponential
     one).
@@ -189,8 +191,10 @@ def _fit_sorted(
     count, so every caller that holds the same samples gets the same bits.
     A sum past the largest double, or a rate or scale that leaves the
     finite positive doubles, raises :class:`DegenerateDataError`; callers
-    silence numpy's overflow warning for the sum.  The result is checked
-    here, so it is built without :class:`ModelParams`' validation.
+    silence numpy's overflow warning for the sum.  Constant samples have no
+    gamma fit, and raise the error of a log-moment gap of 0.0 whatever
+    rounding makes of their means.  The result is checked here, so it is
+    built without :class:`ModelParams`' validation.
     """
     minimum = MIN_SUBSET_SIZE[kind]
     if s.size < minimum:
@@ -212,7 +216,11 @@ def _fit_sorted(
                 "rescale the trace to fit it"
             )
         return _unchecked_params(kind, rate=rate)
-    return _gamma_from_log_moments(mean, float(logs.sum()) / s.size, tol, max_newton_iters)
+    # Constant samples have a log-moment gap of exactly 0, which the two
+    # rounded means can miss by a few ulps either way.
+    constant = s.item(0) == s.item(-1)
+    gap = 0.0 if constant else math.log(mean) - float(logs.sum()) / s.size
+    return _gamma_from_log_moments(mean, gap)
 
 
 def mle_exponential(samples) -> ModelParams:
@@ -228,7 +236,7 @@ def mle_exponential(samples) -> ModelParams:
         return _fit_sorted(ModelKind.EXPONENTIAL, arr, None)
 
 
-def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> ModelParams:
+def mle_gamma(samples) -> ModelParams:
     """Maximum-likelihood gamma fit via Newton iteration on the shape.
 
     The stationarity condition couples the two parameters through
@@ -238,37 +246,30 @@ def mle_gamma(samples, tol: float = 1e-10, max_newton_iters: int = 100) -> Model
 
         a0 = (3 - s + sqrt((s - 3)**2 + 24 s)) / (12 s)
 
-    and stops when the relative step falls below ``tol``.  Both means sum
+    and stops when the relative step falls below 1e-10.  Both means sum
     the samples in ascending order, so the fit, and whether it fails,
     depend only on the samples, not on the order they come in.
 
     Raises
     ------
     DegenerateDataError
-        If s <= 0 (all samples effectively equal), the shape iterate
-        escapes past :data:`GAMMA_SHAPE_CAP`, the samples sum past the
-        largest double, or the scale ``mean / a`` overflows or underflows
-        to zero.
+        If the samples are all equal or s <= 0 (equal up to rounding), the
+        shape iterate escapes past :data:`GAMMA_SHAPE_CAP`, the samples sum
+        past the largest double, or the scale ``mean / a`` overflows or
+        underflows to zero.
     NonConvergenceError
-        If the iteration budget runs out first; the exception carries the
-        last shape iterate.
+        If 100 Newton steps do not settle the shape; the exception carries
+        the last shape iterate.
     """
     arr = np.sort(_checked_samples(samples, 2, "gamma fit"))
-    tol = float(tol)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise ParameterDomainError(f"tol must be finite and positive, got {tol!r}")
-    if max_newton_iters < 1:
-        raise ParameterDomainError("max_newton_iters must be at least 1")
     with np.errstate(over="ignore"):
-        return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr), tol, max_newton_iters)
+        return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr))
 
 
-def _gamma_from_log_moments(
-    mean: float, mean_log: float, tol: float = 1e-10, max_newton_iters: int = 100
-) -> ModelParams:
-    """The Newton shape solve of :func:`mle_gamma`, from ``mean`` and
-    ``mean(ln v)`` of samples the caller has already validated."""
-    s = math.log(mean) - mean_log
+def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
+    """The Newton shape solve of :func:`mle_gamma`, from ``mean`` and the
+    log-moment gap ``s = ln(mean) - mean(ln v)`` of samples the caller has
+    already validated."""
     # Jensen guarantees s >= 0 with equality only for constant data, so a
     # non-positive s (allowing for rounding) has no interior optimum.
     if s <= 0.0:
@@ -277,7 +278,7 @@ def _gamma_from_log_moments(
             "the gamma likelihood has no finite optimum"
         )
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_newton_iters):
+    for _ in range(_NEWTON_MAX_ITERS):
         residual = _ln_minus_digamma(a) - s
         slope = 1.0 / a - trigamma(a)
         a_next = a - residual / slope
@@ -290,7 +291,7 @@ def _gamma_from_log_moments(
                 f"gamma shape estimate exceeded {GAMMA_SHAPE_CAP:g}; samples are "
                 "too concentrated for a meaningful fit"
             )
-        done = abs(a_next - a) <= tol * a_next
+        done = abs(a_next - a) <= _NEWTON_TOL * a_next
         a = a_next
         if done:
             scale = mean / a
@@ -301,21 +302,7 @@ def _gamma_from_log_moments(
                 )
             return _unchecked_params(ModelKind.GAMMA, shape=a, scale=scale)
     raise NonConvergenceError(
-        f"gamma shape solve did not converge in {max_newton_iters} iterations",
+        f"gamma shape solve did not converge in {_NEWTON_MAX_ITERS} iterations",
         last_iterate=a,
     )
 
-
-def gamma_moment_guess(samples) -> tuple[float, float]:
-    """Method-of-moments (shape, scale) estimate for a gamma model.
-
-    A cheap cross-check on :func:`mle_gamma`, not used by the fit itself:
-    shape = mean**2 / var and scale = var / mean with the population
-    variance.
-    """
-    arr = _checked_samples(samples, 2, "gamma moment guess")
-    mean = float(arr.mean())
-    var = float(arr.var())
-    if var == 0.0:
-        raise DegenerateDataError("samples are constant; moment guess undefined")
-    return mean * mean / var, var / mean

@@ -14,12 +14,12 @@ bisects for the flips of ``d``, refits each model on its runs, and stops
 when the run boundaries repeat.  Samples too close to a flip for the sign of
 ``d`` to be trusted under rounding are labelled by the reference predicate
 instead: the normalized densities of :func:`e_step` fed to
-:func:`hard_assign`, ties going to model 0.  So the fit's labels always
-equal ``hard_assign(e_step(trace, params))``.  Every maximum-likelihood fit
-sums its samples in ascending order, and a model's runs, end to end, are
-its samples in that order, so each refit equals :func:`m_step`'s by
-construction.  :func:`e_step` and :func:`m_step` remain as the reference
-functions; :func:`em_fit` calls neither.
+:func:`hard_assign`, where the exponential is model 0 and takes ties.  So
+the fit's labels always equal ``hard_assign(e_step(trace, params))``.
+Every maximum-likelihood fit sums its samples in ascending order, and a
+model's runs, end to end, are its samples in that order, so each refit
+equals :func:`m_step`'s by construction.  :func:`e_step` and :func:`m_step`
+remain as the reference functions; :func:`em_fit` calls neither.
 
 The loop is one private engine with two consumers.  :func:`em_fit` scores
 each pass and puts the labels in trace order;
@@ -39,7 +39,6 @@ from .distributions import (
     ModelParams,
     _fit_sorted,
     _log_pdf_unchecked,
-    log_pdf_many,
     mle_exponential,
     mle_gamma,
 )
@@ -71,26 +70,18 @@ _BAND_RELATIVE = 1e-12
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Iteration budget and candidate set for one EM run.
+    """Iteration budget for one EM run.
 
-    ``kinds`` holds the exponential and the gamma model once each; its order
-    sets the model indices, and with them which model wins a tie.
+    The candidates are fixed in :class:`~jitterfit.distributions.ModelKind`'s
+    order: the exponential is model 0 and takes ties, the gamma is model 1.
     """
 
     max_iters: int = 50
-    kinds: tuple[ModelKind, ModelKind] = (ModelKind.EXPONENTIAL, ModelKind.GAMMA)
 
     def __post_init__(self):
         if int(self.max_iters) < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         object.__setattr__(self, "max_iters", int(self.max_iters))
-        kinds = tuple(ModelKind(k) for k in self.kinds)
-        if sorted(kinds) != list(ModelKind):
-            raise ValueError(
-                "kinds must hold the exponential and the gamma model once each, "
-                f"in either order, got {kinds!r}"
-            )
-        object.__setattr__(self, "kinds", kinds)
 
 
 @dataclass(frozen=True)
@@ -121,8 +112,11 @@ class Assignment:
         object.__setattr__(self, "warnings", tuple(self.warnings))
 
 
-def _log_density_matrix(samples: np.ndarray, params) -> np.ndarray:
-    return np.column_stack([log_pdf_many(p, samples) for p in params])
+def _log_density_matrix(samples: np.ndarray, logs: np.ndarray, params) -> np.ndarray:
+    """Each model's log-densities at the finite positive ``samples``
+    (``logs = ln samples``), one column per model.  Far-tail values overflow
+    to the right -inf; callers silence the warning."""
+    return np.column_stack([_log_pdf_unchecked(p, samples, logs) for p in params])
 
 
 def _responsibilities(log_densities: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,7 +146,9 @@ def e_step(trace: JitterTrace, params) -> np.ndarray:
     few samples next to a flip of the label, and its labels always equal
     ``hard_assign(e_step(trace, params))``.
     """
-    resp, _ = _responsibilities(_log_density_matrix(trace.samples, params))
+    with np.errstate(over="ignore"):
+        log_densities = _log_density_matrix(trace.samples, np.log(trace.samples), params)
+    resp, _ = _responsibilities(log_densities)
     return resp
 
 
@@ -216,9 +212,10 @@ def _first(lo: int, hi: int, pred) -> int:
 
 
 def _label_runs(
-    s: np.ndarray, logs: np.ndarray, params, gamma_index: int
+    s: np.ndarray, logs: np.ndarray, params
 ) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """Label the sorted samples ``s`` (with ``logs = ln s``) under ``params``.
+    """Label the sorted samples ``s`` (with ``logs = ln s``) under ``params``,
+    the exponential model and then the gamma one.
 
     Returns the labels as runs ``(start, stop, model)`` that cover ``s`` with
     adjacent runs always differing in model, and the number of samples that
@@ -230,10 +227,10 @@ def _label_runs(
     bisections find the band where ``|d| <= T``, with T far above the
     rounding error of d.  Outside the band the sign of d gives the label;
     inside, the reference predicate does.  When the term magnitudes
-    overflow, the whole trace is the band.
+    overflow, the whole trace is the band.  Callers silence numpy's overflow
+    warning, as the band's far-tail log-densities can overflow.
     """
-    exp_index = 1 - gamma_index
-    gamma, exponential = params[gamma_index], params[exp_index]
+    exponential, gamma = params
     a, b, rate = gamma.shape, gamma.scale, exponential.rate
     A = a - 1.0
     B = rate - 1.0 / b
@@ -263,7 +260,9 @@ def _label_runs(
         nonlocal dead
         if start >= stop:
             return
-        resp, band_dead = _responsibilities(_log_density_matrix(s[start:stop], params))
+        resp, band_dead = _responsibilities(
+            _log_density_matrix(s[start:stop], logs[start:stop], params)
+        )
         labels = hard_assign(resp)
         dead += band_dead
         edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
@@ -282,12 +281,14 @@ def _label_runs(
         if start >= stop:
             continue
         # Along this piece sign * d rises, so both band edges are bisections.
+        # Below the band d has the sign of -sign, above it that of sign, and
+        # a positive d means the gamma model (model 1) wins.
         sign = 1.0 if slope >= 0.0 else -1.0
         low = _first(start, stop, lambda i: sign * d(i) >= -T)
         high = _first(low, stop, lambda i: sign * d(i) > T)
-        emit(start, low, exp_index if sign > 0.0 else gamma_index)
+        emit(start, low, int(sign < 0.0))
         band(low, high)
-        emit(high, stop, gamma_index if sign > 0.0 else exp_index)
+        emit(high, stop, int(sign > 0.0))
     return tuple(runs), dead
 
 
@@ -304,8 +305,8 @@ def _trace_labels(runs, s: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 
 def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
-    """Classification log-likelihood from the same per-sample log-densities
-    as :func:`log_pdf_many`, summed run by run."""
+    """Classification log-likelihood from the per-sample log-densities of
+    :func:`_log_pdf_unchecked`, summed run by run."""
     loglik = 0.0
     for start, stop, model in runs:
         densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
@@ -316,7 +317,7 @@ def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
 def _trace_loglik(labels: np.ndarray, samples: np.ndarray, params) -> float:
     """Classification log-likelihood of ``samples`` under their ``labels``,
     summed in trace order: the per-sample log-densities of
-    :func:`log_pdf_many`, filled in model by model."""
+    :func:`_log_pdf_unchecked`, filled in model by model."""
     densities = np.empty(samples.size)
     for index, model in enumerate(params):
         mask = labels == index
@@ -382,18 +383,17 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
     s = np.sort(samples)
     logs = np.log(s)
     params: list[ModelParams] = []
-    for index, kind in enumerate(config.kinds):
+    for kind in ModelKind:
         try:
             params.append(_fit_sorted(kind, s, logs))
         except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
             raise SetupError(
-                f"initial fit failed for model {index} ({kind.name.lower()}): {exc}"
+                f"initial fit failed for model {kind.value} ({kind.name.lower()}): {exc}"
             ) from exc
-    gamma_index = config.kinds.index(ModelKind.GAMMA)
     warnings: list[str] = []
     prev_runs = None
     for iteration in range(1, config.max_iters + 1):
-        runs, dead = _label_runs(s, logs, params, gamma_index)
+        runs, dead = _label_runs(s, logs, params)
         if dead:
             warnings.append(
                 f"iteration {iteration}: {dead} sample(s) scored zero density "
@@ -424,9 +424,10 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     runs by the sign of the log-density difference (see the module notes),
     refits each model on its runs, and compares run boundaries with the
     previous pass.  Ties, including those that rounding makes in the
-    normalized densities, go to model 0, as in :func:`hard_assign`.  Every
-    fit sums its samples in ascending order, so each refit equals the one
-    :func:`m_step` makes on the trace-order labels, bit for bit.  The labels
+    normalized densities, go to model 0, the exponential, as in
+    :func:`hard_assign`.  Every fit sums its samples in ascending order, so
+    each refit equals the one :func:`m_step` makes on the trace-order
+    labels, bit for bit.  The labels
     are put in trace order once, at the end, where ``classification_loglik``
     is summed in trace order; the ``loglik_history`` entries before it are
     summed run by run, so they can differ from a trace-order sum in the

@@ -123,11 +123,11 @@ def scan_trace(
         except SetupError as exc:
             failures.append(WindowFailure(start, end, str(exc)))
             continue
-        counts = [0] * len(config.kinds)
+        counts = [0] * len(ModelKind)
         for run_start, run_stop, model in fit.runs:
             counts[model] += run_stop - run_start
-        # Ties go to model 0, as np.argmax would give them.
-        dominant = config.kinds[0 if counts[0] >= counts[1] else 1]
+        # Ties go to model 0, the exponential, as np.argmax would give them.
+        dominant = ModelKind(int(counts[1] > counts[0]))
         reports.append(
             WindowReport(
                 start=start,

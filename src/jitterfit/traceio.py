@@ -79,7 +79,9 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
     every value becomes ``v - min + eps`` with ``eps`` equal to 1e-6 of the
     value range (1e-9 when the trace is constant).  Clock-difference traces
     that dip to or below zero need this; without it a non-positive sample is
-    an error naming its line.
+    an error naming its line.  A range so wide that the shifted trace passes
+    the largest double, or so narrow that ``eps`` rounds to 0, has no such
+    shift and raises :class:`TraceFormatError`.
     """
     chunks: list[np.ndarray] = []
     lineno = 0
@@ -101,6 +103,12 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
         vmin = float(arr.min())
         vmax = float(arr.max())
         eps = 1e-6 * (vmax - vmin) if vmax > vmin else 1e-9
+        # The largest shifted value rounds exactly as this one does.
+        if not (eps > 0.0 and math.isfinite(vmax - vmin + eps)):
+            raise TraceFormatError(
+                f"cannot offset a trace spanning {vmin!r} to {vmax!r} into the "
+                "positive doubles; rescale the trace"
+            )
         arr = arr - vmin + eps
         source = f"{source} (offset {eps - vmin:.17g})"
     return JitterTrace(arr, source=source)

@@ -8,8 +8,11 @@ within 1e-12 relative: the engine sums each pass's log-densities run by run
 over the sorted samples, the oracle in trace order.
 
 The labeller tests check the engine's run labeller sample for sample against
-``hard_assign(e_step(...))``, including where the sign test alone would be
-wrong: identical densities, samples on a crossing, and zero-density rows.
+the reference predicate on :func:`log_pdf_many`'s densities, and
+``hard_assign(e_step(...))`` against both, including where the sign test
+alone would be wrong: identical densities, samples on a crossing, and
+zero-density rows.  The models are in the engine's fixed order: the
+exponential is model 0, the gamma model 1.
 """
 
 import math
@@ -55,7 +58,7 @@ def _log_density_matrix(trace: JitterTrace, params) -> np.ndarray:
 
 def _oracle_em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     params: list[ModelParams] = []
-    for index, kind in enumerate(config.kinds):
+    for index, kind in enumerate((ModelKind.EXPONENTIAL, ModelKind.GAMMA)):
         try:
             params.append(_fit_kind(kind, trace.samples))
         except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
@@ -133,10 +136,6 @@ PARITY_MIXES = {
         np.round(np.random.default_rng(seed).exponential(1.0, 150)) + 0.1
     ),
 }
-KIND_ORDERS = (
-    (ModelKind.EXPONENTIAL, ModelKind.GAMMA),
-    (ModelKind.GAMMA, ModelKind.EXPONENTIAL),
-)
 
 
 def _assert_parity(trace, config, where):
@@ -158,13 +157,10 @@ def _assert_parity(trace, config, where):
 @pytest.mark.parametrize("mix", sorted(PARITY_MIXES))
 def test_engine_matches_oracle(mix):
     stopped_on_budget = warned = 0
-    for seed in range(50):
-        trace = PARITY_MIXES[mix](seed)
-        for kinds in KIND_ORDERS:
-            where = f"{mix} seed {seed} kinds {[k.name for k in kinds]}"
-            want = _assert_parity(trace, EMConfig(kinds=kinds), where)
-            stopped_on_budget += not want.converged
-            warned += bool(want.warnings)
+    for seed in range(100):
+        want = _assert_parity(PARITY_MIXES[mix](seed), EMConfig(), f"{mix} seed {seed}")
+        stopped_on_budget += not want.converged
+        warned += bool(want.warnings)
     if mix == "overlapping":
         assert stopped_on_budget
     if mix in ("narrow-single-regime", "quantized"):
@@ -212,14 +208,12 @@ def test_engine_matches_oracle_on_every_order_of_a_narrow_trace(seed, spread):
     # failed shape solve.
     rng = np.random.default_rng(seed)
     samples = np.exp(rng.normal(0.0, spread, 200))
-    for kinds in KIND_ORDERS:
-        config = EMConfig(kinds=kinds)
-        where = f"seed {seed} kinds {[k.name for k in kinds]}"
-        want = _fit_or_error(JitterTrace(samples), config, where)
-        for _ in range(20):
-            perm = rng.permutation(samples.size)
-            got = _fit_or_error(JitterTrace(samples[perm]), config, where)
-            _assert_same_outcome(got, want, perm, where)
+    config, where = EMConfig(), f"seed {seed}"
+    want = _fit_or_error(JitterTrace(samples), config, where)
+    for _ in range(40):
+        perm = rng.permutation(samples.size)
+        got = _fit_or_error(JitterTrace(samples[perm]), config, where)
+        _assert_same_outcome(got, want, perm, where)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -235,21 +229,20 @@ def test_em_fit_labels_follow_permuted_samples(seed):
 
 
 def _engine_labels(samples, params):
-    """Labels and dead count from the engine's labeller, in input order."""
+    """Labels and dead count from the engine's labeller, in input order,
+    with overflow silenced as the engine silences it."""
     samples = np.asarray(samples, dtype=np.float64)
     s = np.sort(samples)
-    gamma_index = next(i for i, p in enumerate(params) if p.kind is ModelKind.GAMMA)
-    runs, dead = _label_runs(s, np.log(s), params, gamma_index)
+    with np.errstate(over="ignore"):
+        runs, dead = _label_runs(s, np.log(s), params)
     assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert runs[0][0] == 0 and runs[-1][1] == s.size
     return _trace_labels(runs, s, samples), dead
 
 
 def _reference_labels(samples, params):
-    trace = JitterTrace(samples)
-    log_densities = np.column_stack([log_pdf_many(p, trace.samples) for p in params])
-    _, dead = _responsibilities(log_densities)
-    return hard_assign(e_step(trace, params)), dead
+    resp, dead = _responsibilities(_log_density_matrix(JitterTrace(samples), params))
+    return hard_assign(resp), dead
 
 
 def _assert_labeller_agrees(samples, params):
@@ -257,11 +250,8 @@ def _assert_labeller_agrees(samples, params):
     want, want_dead = _reference_labels(samples, params)
     assert np.array_equal(got, want)
     assert got_dead == want_dead
+    assert np.array_equal(hard_assign(e_step(JitterTrace(samples), params)), want)
     return got
-
-
-def _both_orders(exponential, gamma):
-    return ((exponential, gamma), (gamma, exponential))
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,12 +260,9 @@ def _both_orders(exponential, gamma):
     shape=st.floats(0.05, 200.0),
     scale=st.floats(1e-4, 1e4),
     samples=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=60),
-    gamma_first=st.booleans(),
 )
-def test_labeller_matches_reference(rate, shape, scale, samples, gamma_first):
-    exponential = ModelParams.exponential(rate)
-    gamma = ModelParams.gamma(shape, scale)
-    params = (gamma, exponential) if gamma_first else (exponential, gamma)
+def test_labeller_matches_reference(rate, shape, scale, samples):
+    params = (ModelParams.exponential(rate), ModelParams.gamma(shape, scale))
     _assert_labeller_agrees(np.array(samples), params)
 
 
@@ -284,10 +271,9 @@ def test_labeller_identical_densities(rate):
     # gamma(1, 1/rate) is exp(rate); the two log-densities differ only by
     # rounding, so every label is the reference predicate's call.
     samples = np.random.default_rng(1).exponential(1.0 / rate, 2000)
-    for params in _both_orders(
-        ModelParams.exponential(rate), ModelParams.gamma(1.0, 1.0 / rate)
-    ):
-        _assert_labeller_agrees(samples, params)
+    _assert_labeller_agrees(
+        samples, (ModelParams.exponential(rate), ModelParams.gamma(1.0, 1.0 / rate))
+    )
 
 
 def test_labeller_identical_densities_exact_tie_goes_to_model_zero():
@@ -325,19 +311,16 @@ def test_labeller_sample_on_a_crossing():
         samples.extend([v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)])
         samples.extend([v * (1 + 1e-13), v * (1 - 1e-13)])
     samples.extend([0.2, 2.0, 50.0])
-    for params in _both_orders(exponential, gamma):
-        _assert_labeller_agrees(np.array(samples), params)
+    _assert_labeller_agrees(np.array(samples), (exponential, gamma))
 
 
 def test_labeller_gamma_below_one_owns_both_tails():
     exponential = ModelParams.exponential(1.0)
     gamma = ModelParams.gamma(0.5, 4.0)
     samples = np.geomspace(1e-6, 40.0, 3000)
-    for params in _both_orders(exponential, gamma):
-        labels = _assert_labeller_agrees(samples, params)
-        gamma_index = params.index(gamma)
-        assert labels[0] == gamma_index and labels[-1] == gamma_index
-        assert (labels != gamma_index).any()
+    labels = _assert_labeller_agrees(samples, (exponential, gamma))
+    assert labels[0] == 1 and labels[-1] == 1
+    assert not labels.all()
 
 
 @pytest.mark.parametrize(
@@ -349,9 +332,8 @@ def test_labeller_gamma_below_one_owns_both_tails():
 )
 def test_labeller_one_model_wins_every_sample(exponential, gamma):
     samples = np.random.default_rng(5).uniform(1.0, 2.0, 1000)
-    for params in _both_orders(exponential, gamma):
-        labels = _assert_labeller_agrees(samples, params)
-        assert np.unique(labels).size == 1
+    labels = _assert_labeller_agrees(samples, (exponential, gamma))
+    assert np.unique(labels).size == 1
 
 
 def test_labeller_zero_density_rows():
@@ -364,7 +346,7 @@ def test_labeller_zero_density_rows():
     ]
     dead_seen = 0
     for samples, exponential, gamma in cases:
-        for params in _both_orders(exponential, gamma):
-            _assert_labeller_agrees(np.array(samples), params)
-            dead_seen += _engine_labels(np.array(samples), params)[1]
+        params = (exponential, gamma)
+        _assert_labeller_agrees(np.array(samples), params)
+        dead_seen += _engine_labels(np.array(samples), params)[1]
     assert dead_seen > 0

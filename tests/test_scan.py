@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from jitterfit import (
-    EMConfig,
     InsufficientDataError,
     JitterTrace,
     ModelKind,
@@ -178,22 +177,29 @@ def test_pure_regime_windows_classify_correctly_across_seeds():
 # ------------------------------------------------------- parity with em_fit
 
 
-def _em_fit_timeline(trace, spec, config):
+# What a window of one repeated value records, whatever the value.
+NO_SPREAD_FAILURE = (
+    "initial fit failed for model 1 (gamma): samples show no usable spread "
+    "(log-moment gap s = 0.0); the gamma likelihood has no finite optimum"
+)
+
+
+def _em_fit_timeline(trace, spec):
     """The reports and failures a scan must give, built from ``em_fit`` on
     each window."""
     reports, failures = [], []
     for start, end in sliding_windows(len(trace), spec):
         try:
-            fit = em_fit(JitterTrace(trace.samples[start:end]), config)
+            fit = em_fit(JitterTrace(trace.samples[start:end]))
         except SetupError as exc:
             failures.append(WindowFailure(start, end, str(exc)))
             continue
-        counts = np.bincount(fit.labels, minlength=len(config.kinds))
+        counts = np.bincount(fit.labels, minlength=len(ModelKind))
         reports.append(
             WindowReport(
                 start=start,
                 end=end,
-                dominant=config.kinds[int(np.argmax(counts))],
+                dominant=ModelKind(int(np.argmax(counts))),
                 fraction_model0=float(counts[0]) / spec.size,
                 params=fit.final_params,
                 converged=fit.converged,
@@ -202,19 +208,13 @@ def _em_fit_timeline(trace, spec, config):
     return tuple(reports), tuple(failures)
 
 
-@pytest.mark.parametrize(
-    "kinds",
-    [(ModelKind.EXPONENTIAL, ModelKind.GAMMA), (ModelKind.GAMMA, ModelKind.EXPONENTIAL)],
-)
-def test_window_reports_equal_em_fit_on_the_window(kinds):
+def test_window_reports_equal_em_fit_on_the_window():
     # A constant block fills the first window, so that window fails; the
     # drawn regimes after it include windows that use up the 50-pass budget,
     # where the last refit moves the parameters after the last labelling.
-    config = EMConfig(kinds=kinds)
     spec = WindowSpec(size=1000, stride=500)
-    gamma_index = kinds.index(ModelKind.GAMMA)
     budget_hits = 0
-    for seed in range(6):
+    for seed in range(12):
         regimes = RegimeSpec(
             segments=(
                 (ModelParams.exponential(1.0), 3000),
@@ -224,19 +224,24 @@ def test_window_reports_equal_em_fit_on_the_window(kinds):
         )
         drawn = generate_synthetic(regimes).trace.samples
         trace = JitterTrace(np.concatenate([np.full(1000, 1.0), drawn]))
-        timeline = scan_trace(trace, spec, config)
-        reports, failures = _em_fit_timeline(trace, spec, config)
+        timeline = scan_trace(trace, spec)
+        reports, failures = _em_fit_timeline(trace, spec)
         assert timeline.reports == reports
         assert timeline.failures == failures
-        assert failures[0] == WindowFailure(
-            0,
-            1000,
-            f"initial fit failed for model {gamma_index} (gamma): samples show "
-            "no usable spread (log-moment gap s = 0.0); the gamma likelihood "
-            "has no finite optimum",
-        )
+        assert failures[0] == WindowFailure(0, 1000, NO_SPREAD_FAILURE)
         budget_hits += sum(not report.converged for report in reports)
     assert budget_hits > 0
+
+
+@pytest.mark.parametrize("value", [0.25, 3.7])
+def test_constant_windows_fail_for_want_of_spread(value):
+    # The means of these constants round to a nonzero log-moment gap; the
+    # window must still fail as a window of 1.0 does.
+    drawn = np.random.default_rng(3).exponential(1.0, 1000)
+    trace = JitterTrace(np.concatenate([np.full(1000, value), drawn]))
+    timeline = scan_trace(trace, WindowSpec(size=1000))
+    assert timeline.failures == (WindowFailure(0, 1000, NO_SPREAD_FAILURE),)
+    assert [report.start for report in timeline.reports] == [1000]
 
 
 def test_windows_whose_sums_overflow_fail_without_warnings():

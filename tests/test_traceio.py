@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,11 @@ def _oracle_ingest(path, *, offset=False):
         vmin = float(arr.min())
         vmax = float(arr.max())
         eps = 1e-6 * (vmax - vmin) if vmax > vmin else 1e-9
+        if not (eps > 0.0 and math.isfinite(vmax - vmin + eps)):
+            raise TraceFormatError(
+                f"cannot offset a trace spanning {vmin!r} to {vmax!r} into the "
+                "positive doubles; rescale the trace"
+            )
         arr = arr - vmin + eps
         source = f"{source} (offset {eps - vmin:.17g})"
     return JitterTrace(arr, source=source)
@@ -200,6 +206,27 @@ def _assert_ingest_parity(path, data: bytes, offset: bool):
 )
 def test_ingest_matches_line_loop(tmp_path, data, offset):
     _assert_ingest_parity(tmp_path / "trace.txt", data, offset)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # The shifted maximum passes the largest double.
+        b"0\n1.7976931348623157e+308\n",
+        # The range itself passes the largest double.
+        b"-1e308\n1e308\n",
+        # eps, 1e-6 of a subnormal range, rounds to 0.
+        b"0\n5e-324\n",
+    ],
+)
+def test_offset_outside_the_positive_doubles_is_a_trace_format_error(tmp_path, data):
+    path = tmp_path / "trace.txt"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match="cannot offset a trace spanning"):
+            ingest_trace(path, offset=True)
+    _assert_ingest_parity(path, data, True)
 
 
 def _first_chunk_lines(path) -> int:
