@@ -22,6 +22,7 @@ partially decoded.
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -40,7 +41,12 @@ _WINDOW = struct.Struct(">II")
 
 @dataclass(frozen=True)
 class RegimeAnnouncement:
-    """One decoded (or to-be-encoded) announcement."""
+    """One decoded (or to-be-encoded) announcement.
+
+    ``params`` must be a list or tuple of real, non-bool numbers within the
+    range of a double, or :class:`WireFormatError` is raised; :func:`encode`
+    checks every other field.
+    """
 
     model: ModelKind
     params: tuple[float, ...]
@@ -49,7 +55,19 @@ class RegimeAnnouncement:
     version: int = WIRE_VERSION
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = self.params
+        if not isinstance(params, (list, tuple)) or not all(
+            isinstance(p, numbers.Real) and not isinstance(p, bool) for p in params
+        ):
+            raise WireFormatError(
+                f"params must be a list or tuple of real numbers, got {params!r}"
+            )
+        try:
+            object.__setattr__(self, "params", tuple(float(p) for p in params))
+        except OverflowError:
+            raise WireFormatError(
+                f"params must be within the range of a double, got {params!r}"
+            ) from None
 
     @classmethod
     def from_model_params(
@@ -74,7 +92,7 @@ def _validated(ann: RegimeAnnouncement) -> RegimeAnnouncement:
             f"unsupported format version {ann.version!r}; this build speaks {WIRE_VERSION}"
         )
     try:
-        if isinstance(ann.model, bool):
+        if isinstance(ann.model, bool) or not isinstance(ann.model, int):
             raise ValueError(ann.model)
         model = ModelKind(ann.model)
     except ValueError:

@@ -446,10 +446,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except JitterFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (JitterFitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

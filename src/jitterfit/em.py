@@ -27,6 +27,7 @@ each pass and puts the labels in trace order;
 reports only what it needs, the run lengths and the final parameters.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,13 +40,12 @@ from .distributions import (
     ModelParams,
     _fit_sorted,
     _log_pdf_unchecked,
-    mle_exponential,
-    mle_gamma,
 )
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
     NonConvergenceError,
+    ParameterDomainError,
     SetupError,
 )
 from .special import ln_gamma
@@ -79,9 +79,15 @@ class EMConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if int(self.max_iters) < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        try:
+            max_iters = int(self.max_iters)
+        except (TypeError, ValueError):
+            raise ParameterDomainError(
+                f"max_iters must be an integer, got {self.max_iters!r}"
+            ) from None
+        if max_iters < 1:
+            raise ParameterDomainError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", max_iters)
 
 
 @dataclass(frozen=True)
@@ -160,55 +166,43 @@ def hard_assign(responsibilities: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(responsibilities), axis=1)
 
 
-def _fit_kind(kind: ModelKind, samples) -> ModelParams:
-    if kind is ModelKind.EXPONENTIAL:
-        return mle_exponential(samples)
-    return mle_gamma(samples)
-
-
-def _refit(index: int, prev: ModelParams, size: int, fit) -> tuple[ModelParams, str | None]:
-    """Refit one model with ``fit()``, or keep ``prev`` and say why."""
+def _refit(
+    index: int, prev: ModelParams, s: np.ndarray, logs
+) -> tuple[ModelParams, str | None]:
+    """Refit model ``index`` on its ascending samples ``s`` with
+    :func:`_fit_sorted`, or keep ``prev`` and say why."""
     name = prev.kind.name.lower()
-    if size < MIN_SUBSET_SIZE[prev.kind]:
+    if s.size < MIN_SUBSET_SIZE[prev.kind]:
         return prev, (
-            f"model {index} ({name}): subset of {size} sample(s) too "
+            f"model {index} ({name}): subset of {s.size} sample(s) too "
             "small to refit, parameters kept"
         )
     try:
-        return fit(), None
+        return _fit_sorted(prev.kind, s, logs), None
     except (DegenerateDataError, NonConvergenceError) as exc:
         return prev, f"model {index} ({name}): refit failed ({exc}), parameters kept"
 
 
+@np.errstate(over="ignore")
 def m_step(trace: JitterTrace, labels, prev_params) -> tuple[list[ModelParams], list[str]]:
     """Refit every model on its assigned subset.
 
-    A model whose subset is too small, or whose fit degenerates, keeps its
-    previous parameters; each such freeze is reported in the notes list.
+    Each model refits on the sorted subset, without re-validating trace
+    samples, so each fit is the MLE of its family on that subset.  A model
+    whose subset is too small, or whose fit degenerates, keeps its previous
+    parameters; each such freeze is reported in the notes list.
     """
     labels = np.asarray(labels)
     updated: list[ModelParams] = []
     notes: list[str] = []
     for index, prev in enumerate(prev_params):
-        subset = trace.samples[labels == index]
-        params, note = _refit(
-            index, prev, subset.size, lambda: _fit_kind(prev.kind, subset)
-        )
+        s = np.sort(trace.samples[labels == index])
+        logs = np.log(s) if prev.kind is ModelKind.GAMMA else None
+        params, note = _refit(index, prev, s, logs)
         updated.append(params)
         if note is not None:
             notes.append(note)
     return updated, notes
-
-
-def _first(lo: int, hi: int, pred) -> int:
-    """First index in [lo, hi) where the monotone ``pred`` holds, else hi."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _label_runs(
@@ -273,19 +267,23 @@ def _label_runs(
         band(0, n)
         return tuple(runs), dead
 
-    def d(i: int) -> float:
-        return A * logs.item(i) + B * s.item(i) + C
-
     split = int(np.searchsorted(s, -A / B)) if A * B < 0.0 else n
     for start, stop, slope in ((0, split, A or B), (split, n, B)):
         if start >= stop:
             continue
         # Along this piece sign * d rises, so both band edges are bisections.
         # Below the band d has the sign of -sign, above it that of sign, and
-        # a positive d means the gamma model (model 1) wins.
+        # a positive d means the gamma model (model 1) wins.  Negation is
+        # exact and rounding symmetric, so the signed coefficients give
+        # sign * d bit for bit.
         sign = 1.0 if slope >= 0.0 else -1.0
-        low = _first(start, stop, lambda i: sign * d(i) >= -T)
-        high = _first(low, stop, lambda i: sign * d(i) > T)
+        sA, sB, sC = sign * A, sign * B, sign * C
+
+        def rising(i: int) -> float:
+            return sA * logs.item(i) + sB * s.item(i) + sC
+
+        low = bisect.bisect_left(range(n), -T, start, stop, key=rising)
+        high = bisect.bisect_right(range(n), T, low, stop, key=rising)
         emit(start, low, int(sign < 0.0))
         band(low, high)
         emit(high, stop, int(sign > 0.0))
@@ -327,27 +325,27 @@ def _trace_loglik(labels: np.ndarray, samples: np.ndarray, params) -> float:
     return float(densities.sum())
 
 
+def _end_to_end(values: np.ndarray, own: list[slice]) -> np.ndarray:
+    """``values`` over the slices ``own``, end to end: a view when there is
+    one, an empty slice when there are none."""
+    if len(own) > 1:
+        return np.concatenate([values[k] for k in own])
+    return values[own[0] if own else slice(0, 0)]
+
+
 def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
     """:func:`m_step` on the sorted samples ``s`` (``logs = ln s``) labelled
     by ``runs``.
 
-    A model's subset in ascending order is its runs end to end (a view when
-    it has one run), so each refit is bit for bit the one :func:`m_step`
-    makes.
+    A model's subset in ascending order is its runs end to end, so each
+    refit is bit for bit the one :func:`m_step` makes.
     """
     updated: list[ModelParams] = []
     notes: list[str] = []
     for index, prev in enumerate(prev_params):
         own = [slice(start, stop) for start, stop, model in runs if model == index]
-
-        def subset(values):
-            return values[own[0]] if len(own) == 1 else np.concatenate([values[k] for k in own])
-
-        def fit():
-            own_logs = subset(logs) if prev.kind is ModelKind.GAMMA else None
-            return _fit_sorted(prev.kind, subset(s), own_logs)
-
-        params, note = _refit(index, prev, sum(k.stop - k.start for k in own), fit)
+        own_logs = _end_to_end(logs, own) if prev.kind is ModelKind.GAMMA else None
+        params, note = _refit(index, prev, _end_to_end(s, own), own_logs)
         updated.append(params)
         if note is not None:
             notes.append(note)
@@ -377,7 +375,7 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
     Sorts the samples once, fits the initial models on all of them, then
     labels, compares run boundaries and refits until the runs repeat or the
     budget runs out.  ``on_labelled(runs, s, logs, params)``, when given, is
-    called on every pass right after it is labelled, with the parameters that
+    called on every pass that goes on to a refit, with the parameters that
     labelled it.
     """
     s = np.sort(samples)
@@ -399,10 +397,10 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
                 f"iteration {iteration}: {dead} sample(s) scored zero density "
                 "under every model, assigned to model 0"
             )
-        if on_labelled is not None:
-            on_labelled(runs, s, logs, params)
         if runs == prev_runs:
             return _EngineResult(s, runs, params, iteration, True, warnings)
+        if on_labelled is not None:
+            on_labelled(runs, s, logs, params)
         params, notes = _m_step_runs(runs, s, logs, params)
         warnings.extend(f"iteration {iteration}: {note}" for note in notes)
         prev_runs = runs
@@ -443,8 +441,8 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     labels = _trace_labels(fit.runs, fit.s, trace.samples)
     loglik = _trace_loglik(labels, trace.samples, fit.params)
     if fit.converged:
-        # The last pass was scored under these same parameters.
-        history[-1] = loglik
+        # The pass that repeated the runs went unscored; it is this one.
+        history.append(loglik)
     return Assignment(
         labels=labels,
         iterations_used=fit.iterations_used,

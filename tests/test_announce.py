@@ -170,6 +170,13 @@ def test_encode_validation():
         encode(record(version=True))
     with pytest.raises(WireFormatError, match="model"):
         encode(record(model=3))
+    with pytest.raises(WireFormatError, match="model"):
+        encode(record(model=1.0, params=(1.0, 2.0)))
+    with pytest.raises(WireFormatError, match="params"):
+        encode(record(model=ModelKind.GAMMA, params="12"))
+    for params in (("2.0",), (True,), (None,), 2.0, (10**400,)):
+        with pytest.raises(WireFormatError, match="params"):
+            encode(record(params=params))
 
 
 def test_single_byte_corruptions_never_crash():

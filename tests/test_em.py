@@ -9,6 +9,7 @@ import pytest
 from jitterfit import (
     Assignment,
     EMConfig,
+    JitterFitError,
     JitterTrace,
     ModelParams,
     RegimeSpec,
@@ -133,6 +134,22 @@ def test_m_step_freezes_degenerate_subset():
     updated, notes = m_step(trace, labels, prev)
     assert updated[1] is prev[1]
     assert len(notes) == 1 and "refit failed" in notes[0]
+
+
+@pytest.mark.parametrize("overflowing", [0, 1])
+def test_m_step_freezes_subset_that_sums_past_the_largest_double(overflowing):
+    # No warning either: the suite turns numpy's RuntimeWarnings into errors.
+    trace = JitterTrace([1e308, 1.5e308, 1.2e308, 1.0, 2.0])
+    labels = np.array([overflowing] * 3 + [1 - overflowing] * 2)
+    prev = [ModelParams.exponential(1.0), ModelParams.gamma(3.0, 0.5)]
+    updated, notes = m_step(trace, labels, prev)
+    assert updated[overflowing] is prev[overflowing]
+    assert updated[1 - overflowing] is not prev[1 - overflowing]
+    name = prev[overflowing].kind.name.lower()
+    assert notes == [
+        f"model {overflowing} ({name}): refit failed (samples sum past the "
+        "largest double; rescale the trace to fit it), parameters kept"
+    ]
 
 
 # ------------------------------------------------------------------ em_fit
@@ -283,6 +300,9 @@ def test_em_fit_rate_outside_the_doubles_is_a_setup_error():
 def test_em_config_validation():
     with pytest.raises(ValueError):
         EMConfig(max_iters=0)
+    for max_iters in (0, None, "x"):
+        with pytest.raises(JitterFitError, match="max_iters"):
+            EMConfig(max_iters=max_iters)
 
 
 def test_assignment_is_frozen():
