@@ -15,10 +15,12 @@ window length         4      unsigned sample count, at least 1
 ====================  =====  ========================================
 
 An exponential record carries one parameter (the rate); a gamma record
-carries two (shape, then scale).  A record is therefore exactly
-``11 + 8 * k`` bytes and both ends validate every field, so a truncated,
-oversized, or internally inconsistent buffer is rejected rather than
-partially decoded.
+carries two (shape, then scale), so a record is exactly ``11 + 8 * k``
+bytes.  :class:`RegimeAnnouncement` checks every field when it is built,
+so an invalid record cannot exist: :func:`encode` only packs, and
+:func:`decode` checks the buffer length against the header's count, then
+unpacks and builds the record, which rejects a bad version, model id,
+count, parameter or window field.
 """
 
 import math
@@ -35,17 +37,23 @@ WIRE_VERSION = 1
 
 _U32_MAX = 0xFFFFFFFF
 _PARAM_COUNT = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
-_HEADER = struct.Struct(">BBB")
-_WINDOW = struct.Struct(">II")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class RegimeAnnouncement:
     """One decoded (or to-be-encoded) announcement.
 
+    Every field is checked here, so an invalid record cannot be built:
     ``params`` must be a list or tuple of real, non-bool numbers within the
-    range of a double, or :class:`WireFormatError` is raised; :func:`encode`
-    checks every other field.
+    range of a double, as many as the model takes and each finite positive;
+    ``version`` the integer :data:`WIRE_VERSION`; ``model`` an integer model
+    id (stored as a :class:`ModelKind`); the window fields integers in the
+    u32 range, the length at least 1.  Anything else raises
+    :class:`WireFormatError`.
     """
 
     model: ModelKind
@@ -63,11 +71,41 @@ class RegimeAnnouncement:
                 f"params must be a list or tuple of real numbers, got {params!r}"
             )
         try:
-            object.__setattr__(self, "params", tuple(float(p) for p in params))
+            params = tuple(float(p) for p in params)
         except OverflowError:
             raise WireFormatError(
                 f"params must be within the range of a double, got {params!r}"
             ) from None
+        object.__setattr__(self, "params", params)
+        if not _is_int(self.version) or self.version != WIRE_VERSION:
+            raise WireFormatError(
+                f"unsupported format version {self.version!r}; this build speaks {WIRE_VERSION}"
+            )
+        if not _is_int(self.model) or self.model not in _PARAM_COUNT:
+            raise WireFormatError(f"unknown model id {self.model!r}")
+        model = ModelKind(self.model)
+        object.__setattr__(self, "model", model)
+        expected = _PARAM_COUNT[model]
+        if len(params) != expected:
+            raise WireFormatError(
+                f"{model.name.lower()} announcements carry {expected} parameter(s), "
+                f"got {len(params)}"
+            )
+        for position, value in enumerate(params):
+            if not math.isfinite(value) or value <= 0.0:
+                raise WireFormatError(
+                    f"parameter {position} must be finite and positive, got {value!r}"
+                )
+        for name, value, low in (
+            ("window start", self.window_start, 0),
+            ("window length", self.window_len, 1),
+        ):
+            if not _is_int(value):
+                raise WireFormatError(f"{name} must be an integer, got {value!r}")
+            if not low <= value <= _U32_MAX:
+                raise WireFormatError(
+                    f"{name} must be between {low} and {_U32_MAX}, got {value}"
+                )
 
     @classmethod
     def from_model_params(
@@ -86,89 +124,41 @@ class RegimeAnnouncement:
         )
 
 
-def _validated(ann: RegimeAnnouncement) -> RegimeAnnouncement:
-    if isinstance(ann.version, bool) or ann.version != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported format version {ann.version!r}; this build speaks {WIRE_VERSION}"
-        )
-    try:
-        if isinstance(ann.model, bool) or not isinstance(ann.model, int):
-            raise ValueError(ann.model)
-        model = ModelKind(ann.model)
-    except ValueError:
-        raise WireFormatError(f"unknown model id {ann.model!r}") from None
-    expected = _PARAM_COUNT[model]
-    if len(ann.params) != expected:
-        raise WireFormatError(
-            f"{model.name.lower()} announcements carry {expected} parameter(s), "
-            f"got {len(ann.params)}"
-        )
-    for position, value in enumerate(ann.params):
-        if not math.isfinite(value) or value <= 0.0:
-            raise WireFormatError(
-                f"parameter {position} must be finite and positive, got {value!r}"
-            )
-    for name, value, low in (
-        ("window start", ann.window_start, 0),
-        ("window length", ann.window_len, 1),
-    ):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WireFormatError(f"{name} must be an integer, got {value!r}")
-        if not low <= value <= _U32_MAX:
-            raise WireFormatError(
-                f"{name} must be between {low} and {_U32_MAX}, got {value}"
-            )
-    return ann
-
-
 def encode(announcement: RegimeAnnouncement) -> bytes:
     """Serialize an announcement; the result is exactly 11 + 8k bytes."""
-    ann = _validated(announcement)
-    parts = [_HEADER.pack(ann.version, int(ann.model), len(ann.params))]
-    parts.extend(struct.pack(">d", value) for value in ann.params)
-    parts.append(_WINDOW.pack(ann.window_start, ann.window_len))
-    return b"".join(parts)
+    ann, k = announcement, len(announcement.params)
+    return struct.pack(
+        f">BBB{k}dII", ann.version, ann.model, k, *ann.params, ann.window_start, ann.window_len
+    )
 
 
 def decode(data: bytes) -> RegimeAnnouncement:
     """Parse and validate an announcement record.
 
-    Raises :class:`WireFormatError` for anything malformed: short or long
-    buffers, unknown version or model id, a parameter count that does not
-    match the model, non-positive or non-finite parameters, or a zero
-    window length.
+    Raises :class:`WireFormatError` for anything malformed: a buffer shorter
+    than the header or of another length than its parameter count implies,
+    and, from :class:`RegimeAnnouncement`, an unknown version or model id, a
+    parameter count that does not match the model, non-positive or
+    non-finite parameters, or a zero window length.
     """
     buf = bytes(data)
-    if len(buf) < _HEADER.size:
+    if len(buf) < 3:
         raise WireFormatError(
-            f"buffer of {len(buf)} byte(s) is shorter than the {_HEADER.size}-byte header"
+            f"buffer of {len(buf)} byte(s) is shorter than the 3-byte header"
         )
-    version, model_id, count = _HEADER.unpack_from(buf, 0)
-    if version != WIRE_VERSION:
+    count = buf[2]
+    size = 11 + 8 * count
+    if len(buf) != size:
         raise WireFormatError(
-            f"unsupported format version {version}; this build speaks {WIRE_VERSION}"
+            f"a record with {count} parameter(s) is exactly {size} bytes, got {len(buf)}"
         )
-    try:
-        model = ModelKind(model_id)
-    except ValueError:
-        raise WireFormatError(f"unknown model id {model_id}") from None
-    if count != _PARAM_COUNT[model]:
-        raise WireFormatError(
-            f"{model.name.lower()} announcements carry {_PARAM_COUNT[model]} "
-            f"parameter(s), record claims {count}"
-        )
-    expected_size = _HEADER.size + 8 * count + _WINDOW.size
-    if len(buf) != expected_size:
-        raise WireFormatError(
-            f"a {model.name.lower()} record is exactly {expected_size} bytes, got {len(buf)}"
-        )
-    params = struct.unpack_from(f">{count}d", buf, _HEADER.size)
-    window_start, window_len = _WINDOW.unpack_from(buf, _HEADER.size + 8 * count)
-    announcement = RegimeAnnouncement(
-        model=model,
+    version, model_id, _, *params, window_start, window_len = struct.unpack(
+        f">BBB{count}dII", buf
+    )
+    return RegimeAnnouncement(
+        model=model_id,
         params=params,
         window_start=window_start,
         window_len=window_len,
         version=version,
     )
-    return _validated(announcement)

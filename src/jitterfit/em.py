@@ -47,6 +47,7 @@ from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     SetupError,
+    _int_field,
 )
 from .special import ln_gamma
 from .traceio import JitterTrace
@@ -79,12 +80,7 @@ class EMConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        try:
-            max_iters = int(self.max_iters)
-        except (TypeError, ValueError):
-            raise ParameterDomainError(
-                f"max_iters must be an integer, got {self.max_iters!r}"
-            ) from None
+        max_iters = _int_field("max_iters", self.max_iters)
         if max_iters < 1:
             raise ParameterDomainError(f"max_iters must be at least 1, got {self.max_iters!r}")
         object.__setattr__(self, "max_iters", max_iters)

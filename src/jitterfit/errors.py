@@ -14,6 +14,14 @@ class ParameterDomainError(JitterFitError, ValueError):
     """A parameter or sample value lies outside its mathematical domain."""
 
 
+def _int_field(name: str, value) -> int:
+    """``int(value)``, or a :class:`ParameterDomainError` naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterDomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 class SingularDensityError(JitterFitError, ValueError):
     """A density was evaluated at a point where it diverges."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .distributions import ModelKind, ModelParams
 from .em import EMConfig, _em_sorted
-from .errors import InsufficientDataError, ParameterDomainError, SetupError
+from .errors import InsufficientDataError, ParameterDomainError, SetupError, _int_field
 from .traceio import JitterTrace
 
 __all__ = [
@@ -37,13 +37,13 @@ class WindowSpec:
     stride: int | None = None
 
     def __post_init__(self):
-        size = int(self.size)
+        size = _int_field("window size", self.size)
         if size < 100:
             raise ParameterDomainError(
                 f"window size must be at least 100 samples, got {size}"
             )
         object.__setattr__(self, "size", size)
-        stride = size if self.stride is None else int(self.stride)
+        stride = size if self.stride is None else _int_field("stride", self.stride)
         if stride < 1:
             raise ParameterDomainError(f"stride must be at least 1, got {stride}")
         object.__setattr__(self, "stride", stride)

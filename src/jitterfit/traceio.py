@@ -16,6 +16,7 @@ from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     TraceFormatError,
+    _int_field,
 )
 
 __all__ = [
@@ -222,7 +223,9 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        segments = tuple((params, int(length)) for params, length in self.segments)
+        segments = tuple(
+            (params, _int_field("segment length", length)) for params, length in self.segments
+        )
         if not segments:
             raise ParameterDomainError("a regime spec needs at least one segment")
         for params, length in segments:
@@ -231,7 +234,7 @@ class RegimeSpec:
             if length < 1:
                 raise ParameterDomainError(f"segment length must be >= 1, got {length}")
         object.__setattr__(self, "segments", segments)
-        seed = int(self.seed)
+        seed = _int_field("seed", self.seed)
         if not 0 <= seed < 2**64:
             raise ParameterDomainError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "seed", seed)

@@ -191,3 +191,16 @@ def test_single_byte_corruptions_never_crash():
                 continue
             assert isinstance(record, RegimeAnnouncement)
             assert record.version == WIRE_VERSION
+
+
+def test_every_record_that_can_be_built_can_be_packed():
+    # A version equal to 1 but not an integer once passed the checks and
+    # then failed in struct.pack; the record now refuses it when built.
+    with pytest.raises(WireFormatError, match="unsupported format version 1.0"):
+        RegimeAnnouncement(
+            model=ModelKind.EXPONENTIAL,
+            params=(2.0,),
+            window_start=0,
+            window_len=3500,
+            version=1.0,
+        )

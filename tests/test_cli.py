@@ -335,6 +335,16 @@ def test_announce_encode_rejects_malformed_fields(tmp_path, capsys, overrides, m
     assert message in captured.err
 
 
+def test_announce_encode_rejects_a_fractional_version(tmp_path, capsys):
+    record = {"model": "exponential", "params": [2.0], "window_start": 0, "window_len": 5}
+    src = tmp_path / "record.json"
+    src.write_text(json.dumps({**record, "version": 1.0}))
+    assert main(["announce-encode", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unsupported format version 1.0; this build speaks 1\n"
+    )
+
+
 NON_UTF8_ERROR = (
     "error: input is not UTF-8 text: cannot decode byte 0xff (invalid start byte)\n"
 )

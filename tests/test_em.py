@@ -1,10 +1,13 @@
 """Hard-EM engine behavior: assignment semantics, refits, convergence."""
 
+import functools
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterfit import (
     Assignment,
@@ -234,11 +237,8 @@ def test_em_fit_is_deterministic():
     assert first.iterations_used == second.iterations_used
 
 
-@pytest.mark.parametrize("c", [0.25, 3.7, 1000.0, 1e-4, 1e-6, 1e6])
-def test_em_fit_is_scale_covariant(c):
-    # Rescaling the samples by c rescales rate by 1/c and scale by c, leaves
-    # shape alone, and cannot move any label: every log-density shifts by the
-    # same -ln(c), so each sample's argmax is unchanged.
+@functools.cache
+def _scale_base():
     spec = RegimeSpec(
         segments=(
             (ModelParams.gamma(4.0, 1.0), 1000),
@@ -247,7 +247,14 @@ def test_em_fit_is_scale_covariant(c):
         seed=5,
     )
     base = generate_synthetic(spec).trace
-    plain = em_fit(base)
+    return base, em_fit(base)
+
+
+def _assert_scale_covariant(c):
+    # Rescaling the samples by c rescales rate by 1/c and scale by c, leaves
+    # shape alone, and cannot move any label: every log-density shifts by the
+    # same -ln(c), so each sample's argmax is unchanged.
+    base, plain = _scale_base()
     scaled = em_fit(JitterTrace(base.samples * c))
     assert np.array_equal(plain.labels, scaled.labels)
     exp0, gam0 = plain.final_params
@@ -255,6 +262,17 @@ def test_em_fit_is_scale_covariant(c):
     assert exp1.rate == pytest.approx(exp0.rate / c, rel=1e-12)
     assert gam1.shape == pytest.approx(gam0.shape, rel=1e-12)
     assert gam1.scale == pytest.approx(gam0.scale * c, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.25, 3.7, 1000.0, 1e-4, 1e-6, 1e6])
+def test_em_fit_is_scale_covariant(c):
+    _assert_scale_covariant(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-6.0, 6.0))
+def test_em_fit_is_scale_covariant_over_drawn_factors(u):
+    _assert_scale_covariant(10.0**u)
 
 
 def test_em_fit_two_regime_reference_regression(reference_trace):
@@ -300,7 +318,7 @@ def test_em_fit_rate_outside_the_doubles_is_a_setup_error():
 def test_em_config_validation():
     with pytest.raises(ValueError):
         EMConfig(max_iters=0)
-    for max_iters in (0, None, "x"):
+    for max_iters in (0, None, "x", float("inf")):
         with pytest.raises(JitterFitError, match="max_iters"):
             EMConfig(max_iters=max_iters)
 

@@ -184,8 +184,13 @@ def test_engine_matches_oracle(mix):
         assert warned
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+# A gamma segment, then an exponential one, over wide parameter ranges.
+_drawn_mixes = st.builds(
+    lambda shape, scale, rate, n_gamma, n_exponential, seed: _mix(
+        (ModelParams.gamma(shape, scale), n_gamma),
+        (ModelParams.exponential(rate), n_exponential),
+        seed=seed,
+    ),
     shape=st.floats(0.3, 20.0),
     scale=st.floats(1e-3, 1e3),
     rate=st.floats(1e-3, 1e3),
@@ -193,18 +198,15 @@ def test_engine_matches_oracle(mix):
     n_exponential=st.integers(20, 400),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_engine_matches_oracle_on_drawn_mixes(
-    shape, scale, rate, n_gamma, n_exponential, seed
-):
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_drawn_mixes)
+def test_engine_matches_oracle_on_drawn_mixes(trace):
     # A history entry is a sum of per-sample log-densities of either sign;
     # the engine sums it run by run over the sorted samples, the oracle in
     # trace order, so the two differ by rounding on the pass's absolute
     # log-density mass, not on the (possibly near-zero) sum itself.
-    trace = _mix(
-        (ModelParams.gamma(shape, scale), n_gamma),
-        (ModelParams.exponential(rate), n_exponential),
-        seed=seed,
-    )
     config, masses = EMConfig(), []
     try:
         want = _oracle_em_fit(trace, config, masses)
@@ -217,6 +219,22 @@ def test_engine_matches_oracle_on_drawn_mixes(
     _assert_same_fit(got, want, "drawn mix")
     for ours, theirs, mass in zip(got.loglik_history, want.loglik_history, masses):
         assert ours == theirs or abs(ours - theirs) <= 1e-12 * mass
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_drawn_mixes)
+def test_converged_fit_is_a_fixed_point(trace):
+    # A converged fit's parameters label the samples as it reports, and
+    # refitting those labels gives back the very same parameters.
+    try:
+        fit = em_fit(trace)
+    except SetupError:
+        return
+    if not fit.converged:
+        return
+    assert np.array_equal(hard_assign(e_step(trace, fit.final_params)), fit.labels)
+    params, _ = m_step(trace, fit.labels, fit.final_params)
+    assert tuple(params) == tuple(fit.final_params)
 
 
 def _fit_or_error(trace, config, where):

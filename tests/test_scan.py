@@ -12,12 +12,15 @@ from jitterfit import (
     ModelKind,
     ModelParams,
     ParameterDomainError,
+    RegimeAnnouncement,
     RegimeSpec,
     SetupError,
     WindowFailure,
     WindowReport,
     WindowSpec,
+    decode,
     em_fit,
+    encode,
     generate_synthetic,
     scan_trace,
     sliding_windows,
@@ -66,6 +69,12 @@ def test_window_spec_validation():
         WindowSpec(size=99)
     with pytest.raises(ParameterDomainError):
         WindowSpec(size=500, stride=0)
+    for size in (None, "x", float("inf")):
+        with pytest.raises(ParameterDomainError, match="window size must be an integer"):
+            WindowSpec(size=size)
+    with pytest.raises(ParameterDomainError, match="stride must be an integer"):
+        WindowSpec(size=500, stride="x")
+    assert WindowSpec(size="500", stride=250.0) == WindowSpec(size=500, stride=250)
 
 
 # -------------------------------------------------------------------- scans
@@ -117,6 +126,25 @@ def test_failed_window_is_recorded_and_skipped():
     assert len(timeline.reports) == 1
     assert timeline.reports[0].start == 3500
     assert timeline.change_points == ()
+
+
+def test_window_one_model_wins_outright():
+    # A narrow lognormal window that the gamma model takes sample for
+    # sample: no warning, a converged fit, and a record that round-trips.
+    trace = JitterTrace(np.exp(np.random.default_rng(0).normal(0.0, 0.05, 1000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        timeline = scan_trace(trace, WindowSpec(size=200))
+    first = timeline.reports[0]
+    assert first.start == 0
+    assert first.fraction_model0 == 0.0
+    assert first.dominant is ModelKind.GAMMA
+    assert first.converged
+    assert timeline.failures == ()
+    record = RegimeAnnouncement.from_model_params(
+        first.params[first.dominant], first.start, first.end - first.start
+    )
+    assert decode(encode(record)) == record
 
 
 def test_window_params_are_reported():

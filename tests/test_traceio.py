@@ -524,6 +524,15 @@ def test_regime_spec_validation():
         RegimeSpec(segments=(good,), seed=-1)
     with pytest.raises(ParameterDomainError):
         RegimeSpec(segments=(good,), seed=2**64)
+    for length in ("x", None):
+        with pytest.raises(ParameterDomainError, match="segment length must be an integer"):
+            RegimeSpec(segments=((ModelParams.exponential(1.0), length),))
+    for seed in ("x", None):
+        with pytest.raises(ParameterDomainError, match="seed must be an integer"):
+            RegimeSpec(segments=(good,), seed=seed)
+    assert RegimeSpec(segments=((good[0], "5"),), seed="7") == RegimeSpec(
+        segments=(good,), seed=7
+    )
 
 
 def test_labeled_trace_length_mismatch():
