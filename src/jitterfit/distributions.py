@@ -24,7 +24,7 @@ from .errors import (
     ParameterDomainError,
     SingularDensityError,
 )
-from .special import _ln_minus_digamma, ln_gamma, trigamma
+from .special import _shape_terms, ln_gamma
 
 __all__ = [
     "GAMMA_SHAPE_CAP",
@@ -201,7 +201,9 @@ def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
         raise InsufficientDataError(
             f"{kind.name.lower()} fit needs at least {minimum} sample(s), got {s.size}"
         )
-    total = float(s.sum())
+    # np.add.reduce is the reduction s.sum() runs, without the Python-level
+    # wrapper around it: the same pairwise sum, bit for bit.
+    total = float(np.add.reduce(s))
     if not math.isfinite(total):
         raise DegenerateDataError(
             "samples sum past the largest double; rescale the trace to fit it"
@@ -219,7 +221,7 @@ def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
     # Constant samples have a log-moment gap of exactly 0, which the two
     # rounded means can miss by a few ulps either way.
     constant = s.item(0) == s.item(-1)
-    gap = 0.0 if constant else math.log(mean) - float(logs.sum()) / s.size
+    gap = 0.0 if constant else math.log(mean) - float(np.add.reduce(logs)) / s.size
     return _gamma_from_log_moments(mean, gap)
 
 
@@ -279,8 +281,9 @@ def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
         )
     a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(_NEWTON_MAX_ITERS):
-        residual = _ln_minus_digamma(a) - s
-        slope = 1.0 / a - trigamma(a)
+        ln_minus_digamma, trigamma = _shape_terms(a)
+        residual = ln_minus_digamma - s
+        slope = 1.0 / a - trigamma
         a_next = a - residual / slope
         if a_next <= 0.0:
             # Overshoot below zero: fall back to halving, the objective is

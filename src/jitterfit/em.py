@@ -10,12 +10,14 @@ log-density difference ``d(v) = (a-1) ln v + (rate - 1/b) v + c`` of the
 gamma(a, b) model over the exponential one.  ``d'`` changes sign at most
 once, so over the sorted samples the labels form at most three contiguous
 runs.  :func:`em_fit` sorts each trace once and works on those runs: it
-bisects for the flips of ``d``, refits each model on its runs, and stops
-when the run boundaries repeat.  Samples too close to a flip for the sign of
-``d`` to be trusted under rounding are labelled by the reference predicate
-instead: the normalized densities of :func:`e_step` fed to
-:func:`hard_assign`, where the exponential is model 0 and takes ties.  So
-the fit's labels always equal ``hard_assign(e_step(trace, params))``.
+finds the flips of ``d`` by galloping from where they were on the previous
+pass (from the start of each monotone piece on the first pass), refits each
+model on its runs, and stops when the run boundaries repeat.  Samples too
+close to a flip for the sign of ``d`` to be trusted under rounding are
+labelled by the reference predicate instead: the normalized densities of
+:func:`e_step` fed to :func:`hard_assign`, where the exponential is model 0
+and takes ties.  So the fit's labels always equal
+``hard_assign(e_step(trace, params))``.
 Every maximum-likelihood fit sums its samples in ascending order, and a
 model's runs, end to end, are its samples in that order, so each refit
 equals :func:`m_step`'s by construction.  :func:`e_step` and :func:`m_step`
@@ -167,16 +169,18 @@ def _refit(
 ) -> tuple[ModelParams, str | None]:
     """Refit model ``index`` on its ascending samples ``s`` with
     :func:`_fit_sorted`, or keep ``prev`` and say why."""
-    name = prev.kind.name.lower()
     if s.size < MIN_SUBSET_SIZE[prev.kind]:
         return prev, (
-            f"model {index} ({name}): subset of {s.size} sample(s) too "
-            "small to refit, parameters kept"
+            f"model {index} ({prev.kind.name.lower()}): subset of {s.size} "
+            "sample(s) too small to refit, parameters kept"
         )
     try:
         return _fit_sorted(prev.kind, s, logs), None
     except (DegenerateDataError, NonConvergenceError) as exc:
-        return prev, f"model {index} ({name}): refit failed ({exc}), parameters kept"
+        return prev, (
+            f"model {index} ({prev.kind.name.lower()}): refit failed ({exc}), "
+            "parameters kept"
+        )
 
 
 @np.errstate(over="ignore")
@@ -201,8 +205,37 @@ def m_step(trace: JitterTrace, labels, prev_params) -> tuple[list[ModelParams], 
     return updated, notes
 
 
+def _gallop(key, x, guess: int, lo: int, hi: int) -> int:
+    """``bisect.bisect_left(range(hi), x, lo, hi, key=key)``, searched
+    outward from ``guess``.
+
+    Probes 1, 2, 4, ... places away from ``guess`` (clamped into [lo, hi])
+    bracket the answer in [first, last], then the bisection finishes inside
+    the bracket.  Each probe makes the bisection's own comparison, so on a
+    key that is below ``x`` on a prefix of [lo, hi) the result is the plain
+    bisection's wherever the search starts.
+    """
+    guess = min(max(guess, lo), hi)
+    step = 1
+    if guess < hi and key(guess) < x:
+        first = guess + 1
+        while guess + step < hi and key(guess + step) < x:
+            first = guess + step + 1
+            step *= 2
+        last = min(guess + step, hi)
+    else:
+        last = guess
+        while guess - step >= lo and not key(guess - step) < x:
+            last = guess - step
+            step *= 2
+        first = max(guess - step + 1, lo)
+    if first == last:
+        return first
+    return bisect.bisect_left(range(hi), x, first, last, key=key)
+
+
 def _label_runs(
-    s: np.ndarray, logs: np.ndarray, params
+    s: np.ndarray, logs: np.ndarray, params, lows: dict | None = None
 ) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """Label the sorted samples ``s`` (with ``logs = ln s``) under ``params``,
     the exponential model and then the gamma one.
@@ -214,12 +247,22 @@ def _label_runs(
     ``d(v) = A ln v + B v + C`` is the gamma log-density minus the
     exponential one.  Its slope ``A/v + B`` changes sign at most once, at
     ``v* = -A/B``, so d is monotone on each side of v*; on each side two
-    bisections find the band where ``|d| <= T``, with T far above the
-    rounding error of d.  Outside the band the sign of d gives the label;
-    inside, the reference predicate does.  When the term magnitudes
-    overflow, the whole trace is the band.  Callers silence numpy's overflow
-    warning, as the band's far-tail log-densities can overflow.
+    searches find the band where ``|d| <= T``, with T far above the rounding
+    error of d.  Outside the band the sign of d gives the label; inside, the
+    reference predicate does.  When the term magnitudes overflow, the whole
+    trace is the band.  Callers silence numpy's overflow warning, as the
+    band's far-tail log-densities can overflow.
+
+    ``lows`` maps each piece, ``(side of the split, sign of its slope)``, to
+    its low band edges on the last two passes over ``s``, newest first, and
+    is updated in place; the piece's start stands in for a pass that did not
+    run, and when ``lows`` is not given, none did.  The search for a piece's
+    low edge gallops from the edge extrapolated from those two, and the
+    search for its high edge from the new low edge.  Wherever a search
+    starts, it returns the edge a bisection of the piece finds.
     """
+    if lows is None:
+        lows = {}
     exponential, gamma = params
     a, b, rate = gamma.shape, gamma.scale, exponential.rate
     A = a - 1.0
@@ -263,23 +306,28 @@ def _label_runs(
         band(0, n)
         return tuple(runs), dead
 
-    split = int(np.searchsorted(s, -A / B)) if A * B < 0.0 else n
-    for start, stop, slope in ((0, split, A or B), (split, n, B)):
+    split = int(s.searchsorted(-A / B)) if A * B < 0.0 else n
+    for side, (start, stop, slope) in enumerate(((0, split, A or B), (split, n, B))):
         if start >= stop:
             continue
-        # Along this piece sign * d rises, so both band edges are bisections.
-        # Below the band d has the sign of -sign, above it that of sign, and
-        # a positive d means the gamma model (model 1) wins.  Negation is
-        # exact and rounding symmetric, so the signed coefficients give
-        # sign * d bit for bit.
+        # Along this piece sign * d rises, so both band edges are searches of
+        # a sorted key.  Below the band d has the sign of -sign, above it
+        # that of sign, and a positive d means the gamma model (model 1)
+        # wins.  Negation is exact and rounding symmetric, so the signed
+        # coefficients give sign * d bit for bit.
         sign = 1.0 if slope >= 0.0 else -1.0
         sA, sB, sC = sign * A, sign * B, sign * C
 
         def rising(i: int) -> float:
             return sA * logs.item(i) + sB * s.item(i) + sC
 
-        low = bisect.bisect_left(range(n), -T, start, stop, key=rising)
-        high = bisect.bisect_right(range(n), T, low, stop, key=rising)
+        piece = (side, sign)
+        last, before = lows.get(piece, (start, start))
+        low = _gallop(rising, -T, 2 * last - before, start, stop)
+        # d is finite wherever T is, so it lies above T exactly when it is
+        # not below the next double: the edge bisect_right finds at T.
+        high = _gallop(rising, math.nextafter(T, math.inf), low, low, stop)
+        lows[piece] = (low, last)
         emit(start, low, int(sign < 0.0))
         band(low, high)
         emit(high, stop, int(sign > 0.0))
@@ -370,9 +418,10 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
 
     Sorts the samples once, fits the initial models on all of them, then
     labels, compares run boundaries and refits until the runs repeat or the
-    budget runs out.  ``on_labelled(runs, s, logs, params)``, when given, is
-    called on every pass that goes on to a refit, with the parameters that
-    labelled it.
+    budget runs out.  One dict carries each piece's band edges from a pass's
+    labelling to the next.  ``on_labelled(runs, s, logs,
+    params)``, when given, is called on every pass that goes on to a refit,
+    with the parameters that labelled it.
     """
     s = np.sort(samples)
     logs = np.log(s)
@@ -385,9 +434,10 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
                 f"initial fit failed for model {kind.value} ({kind.name.lower()}): {exc}"
             ) from exc
     warnings: list[str] = []
+    lows: dict[tuple[int, float], tuple[int, int]] = {}
     prev_runs = None
     for iteration in range(1, config.max_iters + 1):
-        runs, dead = _label_runs(s, logs, params)
+        runs, dead = _label_runs(s, logs, params, lows)
         if dead:
             warnings.append(
                 f"iteration {iteration}: {dead} sample(s) scored zero density "
@@ -416,17 +466,18 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
 
     The samples are sorted once.  Each pass labels them as at most three
     runs by the sign of the log-density difference (see the module notes),
-    refits each model on its runs, and compares run boundaries with the
-    previous pass.  Ties, including those that rounding makes in the
-    normalized densities, go to model 0, the exponential, as in
-    :func:`hard_assign`.  Every fit sums its samples in ascending order, so
-    each refit equals the one :func:`m_step` makes on the trace-order
-    labels, bit for bit.  The labels
-    are put in trace order once, at the end, where ``classification_loglik``
-    is summed in trace order; the ``loglik_history`` entries before it are
-    summed run by run, so they can differ from a trace-order sum in the
-    last bits.  :func:`~jitterfit.scan.scan_trace` runs the same engine on
-    each window but scores no pass, since it reports no log-likelihood.
+    finding the flips by galloping from the previous pass's band edges, or
+    from the start of each piece on the first pass, then refits each model
+    on its runs and compares run boundaries with the previous pass.  Ties,
+    including those that rounding makes in the normalized densities, go to
+    model 0, the exponential, as in :func:`hard_assign`.  Every fit sums its
+    samples in ascending order, so each refit equals the one :func:`m_step`
+    makes on the trace-order labels, bit for bit.  The labels are put in
+    trace order once, at the end, where ``classification_loglik`` is summed
+    in trace order; the ``loglik_history`` entries before it are summed run
+    by run, so they can differ from a trace-order sum in the last bits.
+    :func:`~jitterfit.scan.scan_trace` runs the same engine on each window
+    but scores no pass, since it reports no log-likelihood.
     """
     history: list[float] = []
 

@@ -63,11 +63,10 @@ def _checked(x, name: str) -> float:
 
 
 def _even_series(coeffs, r: float) -> float:
-    """Evaluate sum(c_n * r**n for n = 1..len(coeffs)) / r via Horner."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r + c
-    return acc
+    """Evaluate sum(c_n * r**n for n = 1..7) / r via Horner, for the seven
+    coefficients of one expansion."""
+    c1, c2, c3, c4, c5, c6, c7 = coeffs
+    return (((((c7 * r + c6) * r + c5) * r + c4) * r + c3) * r + c2) * r + c1
 
 
 def ln_gamma(x: float) -> float:
@@ -97,25 +96,42 @@ def digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - _even_series(_DIGAMMA_COEFFS, r) * r
 
 
-def _ln_minus_digamma(x: float) -> float:
-    """ln(x) - digamma(x) for finite x > 0, the gamma shape equation's left side.
+def _shape_terms(x: float) -> tuple[float, float]:
+    """``(ln(x) - digamma(x), trigamma(x))`` for a finite float x > 0: the
+    gamma shape equation's left side and its slope's trigamma term.
 
-    From the threshold up, ln(x) cancels out of the asymptotic series exactly,
-    so the result keeps full relative precision even where it is many orders
+    One recurrence lifts x below the threshold for both, and
+    :func:`trigamma` is the second value.  There the first value is
+    ``ln(x) - digamma(x)`` with :func:`digamma`'s own operations.  From the
+    threshold up, ln(x) cancels out of the asymptotic series exactly, so the
+    first value keeps full relative precision even where it is many orders
     of magnitude below ln(x); the plain difference loses ~1e-10 by x = 1e5.
     """
-    if x < _SHIFT_THRESHOLD:
-        return math.log(x) - digamma(x)
-    r = 1.0 / (x * x)
-    return 0.5 / x + _even_series(_DIGAMMA_COEFFS, r) * r
+    if x >= _SHIFT_THRESHOLD:
+        r = 1.0 / (x * x)
+        return (
+            0.5 / x + _even_series(_DIGAMMA_COEFFS, r) * r,
+            1.0 / x + 0.5 * r + _even_series(_TRIGAMMA_COEFFS, r) * r / x,
+        )
+    y, psi_shift, trigamma_shift = x, 0.0, 0.0
+    while y < _SHIFT_THRESHOLD:
+        psi_shift -= 1.0 / y
+        trigamma_shift += 1.0 / (y * y)
+        y += 1.0
+    r = 1.0 / (y * y)
+    psi = psi_shift + math.log(y) - 0.5 / y - _even_series(_DIGAMMA_COEFFS, r) * r
+    return (
+        math.log(x) - psi,
+        trigamma_shift + 1.0 / y + 0.5 * r + _even_series(_TRIGAMMA_COEFFS, r) * r / y,
+    )
+
+
+def _ln_minus_digamma(x: float) -> float:
+    """ln(x) - digamma(x) for finite x > 0, the first value of
+    :func:`_shape_terms`."""
+    return _shape_terms(x)[0]
 
 
 def trigamma(x: float) -> float:
     """Derivative of the digamma function, x > 0."""
-    x = _checked(x, "trigamma")
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift += 1.0 / (x * x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    return shift + 1.0 / x + 0.5 * r + _even_series(_TRIGAMMA_COEFFS, r) * r / x
+    return _shape_terms(_checked(x, "trigamma"))[1]

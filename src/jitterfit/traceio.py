@@ -223,9 +223,22 @@ class RegimeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        segments = tuple(
-            (params, _int_field("segment length", length)) for params, length in self.segments
-        )
+        try:
+            pairs = iter(self.segments)
+        except TypeError:
+            raise ParameterDomainError(
+                f"segments must be a sequence of (model, length) pairs, got {self.segments!r}"
+            ) from None
+        segments = []
+        for segment in pairs:
+            try:
+                params, length = segment
+            except (TypeError, ValueError):
+                raise ParameterDomainError(
+                    f"each segment must be a (model, length) pair, got {segment!r}"
+                ) from None
+            segments.append((params, _int_field("segment length", length)))
+        segments = tuple(segments)
         if not segments:
             raise ParameterDomainError("a regime spec needs at least one segment")
         for params, length in segments:

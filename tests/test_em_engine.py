@@ -16,8 +16,17 @@ the reference predicate on :func:`log_pdf_many`'s densities, and
 alone would be wrong: identical densities, samples on a crossing, and
 zero-density rows.  The models are in the engine's fixed order: the
 exponential is model 0, the gamma model 1.
+
+``_oracle_label_runs`` is the labeller as it was before it galloped from
+the previous pass's band edges: it bisects every edge on every pass.  The
+galloping labeller must return its runs and dead count whatever edges it is
+handed, and on every pass of the drawn-mix fits.  Runs hide an edge found
+one place too far out, as the reference predicate labels that sample as the
+sign would, so ``_gallop`` is also checked on its own against
+``bisect.bisect_left``.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -42,7 +51,9 @@ from jitterfit import (
     mle_exponential,
     mle_gamma,
 )
+from jitterfit import em
 from jitterfit.em import (
+    _gallop,
     _label_runs,
     _responsibilities,
     _trace_labels,
@@ -52,6 +63,7 @@ from jitterfit.errors import (
     InsufficientDataError,
     NonConvergenceError,
 )
+from jitterfit.special import ln_gamma
 
 from conftest import reference_spec
 
@@ -420,3 +432,160 @@ def test_labeller_zero_density_rows():
         _assert_labeller_agrees(np.array(samples), params)
         dead_seen += _engine_labels(np.array(samples), params)[1]
     assert dead_seen > 0
+
+
+# ------------------------------------------------------ galloping labeller
+
+
+def _oracle_label_runs(
+    s: np.ndarray, logs: np.ndarray, params
+) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The bisect-only labeller, verbatim but for the ``em.`` prefix on the
+    engine's private names (its docstring is left out)."""
+    exponential, gamma = params
+    a, b, rate = gamma.shape, gamma.scale, exponential.rate
+    A = a - 1.0
+    B = rate - 1.0 / b
+    log_norm = a * math.log(b) + ln_gamma(a)
+    log_rate = math.log(rate)
+    C = -log_norm - log_rate
+    n = s.size
+    T = em._BAND_RELATIVE * (
+        abs(A) * max(abs(logs.item(0)), abs(logs.item(n - 1)))
+        + (rate + 1.0 / b) * s.item(n - 1)
+        + abs(log_norm)
+        + abs(log_rate)
+        + 1.0
+    )
+    runs: list[tuple[int, int, int]] = []
+    dead = 0
+
+    def emit(start: int, stop: int, model: int) -> None:
+        if start >= stop:
+            return
+        if runs and runs[-1][2] == model:
+            runs[-1] = (runs[-1][0], stop, model)
+        else:
+            runs.append((start, stop, model))
+
+    def band(start: int, stop: int) -> None:
+        nonlocal dead
+        if start >= stop:
+            return
+        resp, band_dead = _responsibilities(
+            em._log_density_matrix(s[start:stop], logs[start:stop], params)
+        )
+        labels = hard_assign(resp)
+        dead += band_dead
+        edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+        for lo, hi in zip(edges, edges[1:]):
+            emit(start + lo, start + hi, int(labels[lo]))
+
+    if not math.isfinite(T):
+        band(0, n)
+        return tuple(runs), dead
+
+    split = int(np.searchsorted(s, -A / B)) if A * B < 0.0 else n
+    for start, stop, slope in ((0, split, A or B), (split, n, B)):
+        if start >= stop:
+            continue
+        # Along this piece sign * d rises, so both band edges are bisections.
+        # Below the band d has the sign of -sign, above it that of sign, and
+        # a positive d means the gamma model (model 1) wins.  Negation is
+        # exact and rounding symmetric, so the signed coefficients give
+        # sign * d bit for bit.
+        sign = 1.0 if slope >= 0.0 else -1.0
+        sA, sB, sC = sign * A, sign * B, sign * C
+
+        def rising(i: int) -> float:
+            return sA * logs.item(i) + sB * s.item(i) + sC
+
+        low = bisect.bisect_left(range(n), -T, start, stop, key=rising)
+        high = bisect.bisect_right(range(n), T, low, stop, key=rising)
+        emit(start, low, int(sign < 0.0))
+        band(low, high)
+        emit(high, stop, int(sign > 0.0))
+    return tuple(runs), dead
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    keys=st.lists(st.integers(-5, 5), max_size=80).map(sorted),
+    x=st.integers(-6, 6),
+    data=st.data(),
+)
+def test_gallop_finds_the_bisection_edge_from_any_guess(keys, x, data):
+    n = len(keys)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    guess = data.draw(st.integers(-n - 5, 2 * n + 5))
+    want = bisect.bisect_left(range(hi), x, lo, hi, key=keys.__getitem__)
+    assert _gallop(keys.__getitem__, x, guess, lo, hi) == want
+
+
+_PIECES = [(side, sign) for side in (0, 1) for sign in (1.0, -1.0)]
+
+
+def _piece_ends(s: np.ndarray, params) -> list[int]:
+    """The first and last index of each piece, and the index past each."""
+    exponential, gamma = params
+    A = gamma.shape - 1.0
+    B = exponential.rate - 1.0 / gamma.scale
+    n = s.size
+    split = int(np.searchsorted(s, -A / B)) if A * B < 0.0 else n
+    return sorted({0, max(split - 1, 0), split, n - 1, n})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.floats(1e-4, 1e4),
+    shape=st.floats(0.05, 200.0),
+    scale=st.floats(1e-4, 1e4),
+    samples=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=200),
+    data=st.data(),
+)
+def test_galloping_labeller_matches_bisection_for_every_hint(
+    rate, shape, scale, samples, data
+):
+    params = (ModelParams.exponential(rate), ModelParams.gamma(shape, scale))
+    s = np.sort(np.array(samples))
+    logs = np.log(s)
+    n = s.size
+
+    def check(lows):
+        with np.errstate(over="ignore"):
+            assert _label_runs(s, logs, params, dict(lows)) == want, lows
+
+    with np.errstate(over="ignore"):
+        want = _oracle_label_runs(s, logs, params)
+        assert _label_runs(s, logs, params) == want
+    # A guess of 2 * last - before_last: exactly at each piece end, then
+    # outside the samples on either side.
+    for guess in _piece_ends(s, params) + [-1, -n - 7, n + 1, 3 * n + 7]:
+        check({piece: (guess, guess) for piece in _PIECES})
+    position = st.integers(-2 * n - 2, 3 * n + 2)
+    for _ in range(4):
+        check({piece: (data.draw(position), data.draw(position)) for piece in _PIECES})
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=_drawn_mixes)
+def test_galloping_labeller_matches_bisection_on_every_pass(trace):
+    galloping = em._label_runs
+    passes = []
+
+    def checked(s, logs, params, lows):
+        hinted = bool(lows)
+        got = galloping(s, logs, params, lows)
+        assert got == _oracle_label_runs(s, logs, params), len(passes)
+        passes.append(hinted)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(em, "_label_runs", checked)
+        try:
+            fit = em_fit(trace)
+        except SetupError:
+            return
+    assert len(passes) == fit.iterations_used
+    assert all(passes[1:])

@@ -1,5 +1,6 @@
 """Sliding-window scans and the regime timeline."""
 
+import hashlib
 import math
 import warnings
 
@@ -288,3 +289,42 @@ def test_windows_whose_sums_overflow_fail_without_warnings():
         ),
     )
     assert [report.start for report in timeline.reports] == [100]
+
+
+# Five regimes, 40k samples: enough windows for a few to use up the 50-pass
+# budget, where the last refit moves the parameters after the last labelling.
+PINNED_REGIMES = RegimeSpec(
+    segments=(
+        (ModelParams.gamma(4.0, 1.0), 7300),
+        (ModelParams.exponential(1.0), 9100),
+        (ModelParams.gamma(2.0, 0.5), 8300),
+        (ModelParams.exponential(2.0), 7900),
+        (ModelParams.gamma(8.0, 0.25), 7400),
+    ),
+    seed=2,
+)
+
+
+def test_scan_reports_match_their_recorded_digest():
+    # The CLI's scan outputs carry no parameters, so this digest of every
+    # report field, each parameter's repr included, is what pins the fits
+    # of overlapping windows bit for bit.  Recorded when every band edge
+    # was bisected on every pass.
+    timeline = scan_trace(
+        generate_synthetic(PINNED_REGIMES).trace, WindowSpec(size=3500, stride=250)
+    )
+    lines = []
+    for r in timeline.reports:
+        params = " ".join(
+            f"{p.kind.name}({p.rate!r},{p.shape!r},{p.scale!r})" for p in r.params
+        )
+        lines.append(
+            f"{r.start} {r.end} {r.dominant.name} {r.fraction_model0!r} {params} {r.converged}"
+        )
+    for f in timeline.failures:
+        lines.append(f"failure {f.start} {f.end} {f.message}")
+    assert len(timeline.reports) == 147
+    assert sum(not r.converged for r in timeline.reports) == 25
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "3185dcfdcca5948ded2473eb56fb4267474c114552d4ea3dc814d9d03275a79b"
+    )

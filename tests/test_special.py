@@ -5,9 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitterfit import ParameterDomainError, digamma, ln_gamma, trigamma
-from jitterfit.special import _ln_minus_digamma
+from jitterfit.special import (
+    _DIGAMMA_COEFFS,
+    _TRIGAMMA_COEFFS,
+    _even_series,
+    _ln_minus_digamma,
+    _shape_terms,
+)
 
 mpmath.mp.dps = 30
 
@@ -90,3 +98,50 @@ def test_recurrence_relations():
 def test_domain_rejected(fn, bad):
     with pytest.raises(ParameterDomainError):
         fn(bad)
+
+
+def _ln_minus_digamma_by_its_own_series(x: float) -> float:
+    """ln(x) - digamma(x) as it was computed before :func:`_shape_terms`."""
+    if x < 10.0:
+        return math.log(x) - digamma(x)
+    r = 1.0 / (x * x)
+    return 0.5 / x + _even_series(_DIGAMMA_COEFFS, r) * r
+
+
+def _trigamma_by_its_own_loop(x: float) -> float:
+    """trigamma(x) as it was computed before :func:`_shape_terms`."""
+    shift = 0.0
+    while x < 10.0:
+        shift += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    return shift + 1.0 / x + 0.5 * r + _even_series(_TRIGAMMA_COEFFS, r) * r / x
+
+
+def _assert_shape_terms_exact(x: float) -> None:
+    want = (_ln_minus_digamma_by_its_own_series(x), _trigamma_by_its_own_loop(x))
+    assert _shape_terms(x) == want, x
+    assert _ln_minus_digamma(x) == want[0], x
+    assert trigamma(x) == want[1], x
+
+
+def test_shape_terms_equal_the_separate_functions_over_a_log_grid():
+    for x in np.logspace(-3, 6, 4001):
+        _assert_shape_terms_exact(float(x))
+
+
+def test_shape_terms_equal_the_separate_functions_around_the_threshold():
+    below = above = 10.0
+    points = [10.0]
+    for _ in range(4):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        points += [below, above]
+    for x in points + [9.0, 9.5, 10.5, 11.0]:
+        _assert_shape_terms_exact(x)
+
+
+# Below about 1e-154, x * x underflows to 0 and trigamma divides by zero.
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=1e-150, max_value=1e300))
+def test_shape_terms_equal_the_separate_functions_on_drawn_floats(x):
+    _assert_shape_terms_exact(x)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import sys
 import warnings
 
@@ -533,6 +534,13 @@ def test_regime_spec_validation():
     assert RegimeSpec(segments=((good[0], "5"),), seed="7") == RegimeSpec(
         segments=(good,), seed=7
     )
+    with pytest.raises(ParameterDomainError, match="segments must be a sequence .* got None"):
+        RegimeSpec(segments=None)
+    for segment in (5, (ModelParams.exponential(1.0),), (good[0], 5, 5)):
+        message = re.escape(f"each segment must be a (model, length) pair, got {segment!r}")
+        for segments in ((segment,), (good, segment)):
+            with pytest.raises(ParameterDomainError, match=message):
+                RegimeSpec(segments=segments)
 
 
 def test_labeled_trace_length_mismatch():
