@@ -16,11 +16,12 @@ window length         4      unsigned sample count, at least 1
 
 An exponential record carries one parameter (the rate); a gamma record
 carries two (shape, then scale), so a record is exactly ``11 + 8 * k``
-bytes.  :class:`RegimeAnnouncement` checks every field when it is built,
-so an invalid record cannot exist: :func:`encode` only packs, and
-:func:`decode` checks the buffer length against the header's count, then
-unpacks and builds the record, which rejects a bad version, model id,
-count, parameter or window field.
+bytes.  Each window field is bounded on its own, so start plus length may
+pass 0xFFFFFFFF.  :class:`RegimeAnnouncement` checks every field when it
+is built, so an invalid record cannot exist: :func:`encode` only packs,
+and :func:`decode` checks the buffer length against the header's count,
+then unpacks and builds the record, which rejects a bad version, model
+id, count, parameter or window field.
 """
 
 import math

@@ -20,8 +20,10 @@ and takes ties.  So the fit's labels always equal
 ``hard_assign(e_step(trace, params))``.
 Every maximum-likelihood fit sums its samples in ascending order, and a
 model's runs, end to end, are its samples in that order, so each refit
-equals :func:`m_step`'s by construction.  :func:`e_step` and :func:`m_step`
-remain as the reference functions; :func:`em_fit` calls neither.
+equals :func:`m_step`'s by construction: both hand their subsets to one
+refit rule, which fits each model or keeps its parameters and says why.
+:func:`e_step` and :func:`m_step` remain as the reference functions;
+:func:`em_fit` calls neither.
 
 The loop is one private engine with two consumers.  :func:`em_fit` scores
 each pass and puts the labels in trace order;
@@ -164,45 +166,42 @@ def hard_assign(responsibilities: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(responsibilities), axis=1)
 
 
-def _refit(
-    index: int, prev: ModelParams, s: np.ndarray, logs
-) -> tuple[ModelParams, str | None]:
-    """Refit model ``index`` on its ascending samples ``s`` with
-    :func:`_fit_sorted`, or keep ``prev`` and say why."""
-    if s.size < MIN_SUBSET_SIZE[prev.kind]:
-        return prev, (
-            f"model {index} ({prev.kind.name.lower()}): subset of {s.size} "
-            "sample(s) too small to refit, parameters kept"
-        )
-    try:
-        return _fit_sorted(prev.kind, s, logs), None
-    except (DegenerateDataError, NonConvergenceError) as exc:
-        return prev, (
-            f"model {index} ({prev.kind.name.lower()}): refit failed ({exc}), "
-            "parameters kept"
-        )
+def _refit(prev_params, subsets) -> tuple[list[ModelParams], list[str]]:
+    """Refit each model on its subset ``(s, logs)`` (``s`` ascending, with
+    ``logs = ln s`` for a gamma model) with :func:`_fit_sorted`, or keep its
+    parameters and note why: the one refit rule of :func:`m_step` and the
+    engine."""
+    updated: list[ModelParams] = []
+    notes: list[str] = []
+    for index, (prev, (s, logs)) in enumerate(zip(prev_params, subsets)):
+        try:
+            updated.append(_fit_sorted(prev.kind, s, logs))
+            continue
+        except InsufficientDataError:
+            why = f"subset of {s.size} sample(s) too small to refit"
+        except (DegenerateDataError, NonConvergenceError) as exc:
+            why = f"refit failed ({exc})"
+        updated.append(prev)
+        notes.append(f"model {index} ({prev.kind.name.lower()}): {why}, parameters kept")
+    return updated, notes
 
 
 @np.errstate(over="ignore")
 def m_step(trace: JitterTrace, labels, prev_params) -> tuple[list[ModelParams], list[str]]:
     """Refit every model on its assigned subset.
 
-    Each model refits on the sorted subset, without re-validating trace
-    samples, so each fit is the MLE of its family on that subset.  A model
-    whose subset is too small, or whose fit degenerates, keeps its previous
-    parameters; each such freeze is reported in the notes list.
+    Each model refits on the sorted subset by the engine's refit rule,
+    without re-validating trace samples, so each fit is the MLE of its
+    family on that subset.  A model whose subset is too small, or whose fit
+    degenerates, keeps its previous parameters; each such freeze is
+    reported in the notes list.
     """
     labels = np.asarray(labels)
-    updated: list[ModelParams] = []
-    notes: list[str] = []
+    subsets = []
     for index, prev in enumerate(prev_params):
         s = np.sort(trace.samples[labels == index])
-        logs = np.log(s) if prev.kind is ModelKind.GAMMA else None
-        params, note = _refit(index, prev, s, logs)
-        updated.append(params)
-        if note is not None:
-            notes.append(note)
-    return updated, notes
+        subsets.append((s, np.log(s) if prev.kind is ModelKind.GAMMA else None))
+    return _refit(prev_params, subsets)
 
 
 def _gallop(key, x, guess: int, lo: int, hi: int) -> int:
@@ -235,7 +234,7 @@ def _gallop(key, x, guess: int, lo: int, hi: int) -> int:
 
 
 def _label_runs(
-    s: np.ndarray, logs: np.ndarray, params, lows: dict | None = None
+    s: np.ndarray, logs: np.ndarray, params, lows: dict
 ) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """Label the sorted samples ``s`` (with ``logs = ln s``) under ``params``,
     the exponential model and then the gamma one.
@@ -256,13 +255,11 @@ def _label_runs(
     ``lows`` maps each piece, ``(side of the split, sign of its slope)``, to
     its low band edges on the last two passes over ``s``, newest first, and
     is updated in place; the piece's start stands in for a pass that did not
-    run, and when ``lows`` is not given, none did.  The search for a piece's
-    low edge gallops from the edge extrapolated from those two, and the
-    search for its high edge from the new low edge.  Wherever a search
-    starts, it returns the edge a bisection of the piece finds.
+    run.  The search for a piece's low edge gallops from the edge
+    extrapolated from those two, and the search for its high edge from the
+    new low edge.  Wherever a search starts, it returns the edge a bisection
+    of the piece finds.
     """
-    if lows is None:
-        lows = {}
     exponential, gamma = params
     a, b, rate = gamma.shape, gamma.scale, exponential.rate
     A = a - 1.0
@@ -381,19 +378,15 @@ def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
     """:func:`m_step` on the sorted samples ``s`` (``logs = ln s``) labelled
     by ``runs``.
 
-    A model's subset in ascending order is its runs end to end, so each
-    refit is bit for bit the one :func:`m_step` makes.
+    A model's subset in ascending order is its runs end to end, so
+    :func:`_refit` makes bit for bit the refits :func:`m_step` makes.
     """
-    updated: list[ModelParams] = []
-    notes: list[str] = []
+    subsets = []
     for index, prev in enumerate(prev_params):
         own = [slice(start, stop) for start, stop, model in runs if model == index]
         own_logs = _end_to_end(logs, own) if prev.kind is ModelKind.GAMMA else None
-        params, note = _refit(index, prev, _end_to_end(s, own), own_logs)
-        updated.append(params)
-        if note is not None:
-            notes.append(note)
-    return updated, notes
+        subsets.append((_end_to_end(s, own), own_logs))
+    return _refit(prev_params, subsets)
 
 
 class _EngineResult(NamedTuple):

@@ -124,7 +124,9 @@ def test_m_step_freezes_small_subset():
     prev = [ModelParams.exponential(5.0), ModelParams.gamma(2.0, 2.0)]
     updated, notes = m_step(trace, labels, prev)
     assert updated[1] is prev[1]
-    assert len(notes) == 1 and "too small" in notes[0]
+    assert notes == [
+        "model 1 (gamma): subset of 0 sample(s) too small to refit, parameters kept"
+    ]
     # the exponential still refits
     assert updated[0].rate == pytest.approx(1.0 / trace.samples.mean(), rel=1e-12)
 

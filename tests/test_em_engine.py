@@ -316,7 +316,7 @@ def _engine_labels(samples, params):
     samples = np.asarray(samples, dtype=np.float64)
     s = np.sort(samples)
     with np.errstate(over="ignore"):
-        runs, dead = _label_runs(s, np.log(s), params)
+        runs, dead = _label_runs(s, np.log(s), params, {})
     assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert runs[0][0] == 0 and runs[-1][1] == s.size
     return _trace_labels(runs, s, samples), dead
@@ -558,7 +558,7 @@ def test_galloping_labeller_matches_bisection_for_every_hint(
 
     with np.errstate(over="ignore"):
         want = _oracle_label_runs(s, logs, params)
-        assert _label_runs(s, logs, params) == want
+        assert _label_runs(s, logs, params, {}) == want
     # A guess of 2 * last - before_last: exactly at each piece end, then
     # outside the samples on either side.
     for guess in _piece_ends(s, params) + [-1, -n - 7, n + 1, 3 * n + 7]:

@@ -13,7 +13,6 @@ from jitterfit.special import (
     _DIGAMMA_COEFFS,
     _TRIGAMMA_COEFFS,
     _even_series,
-    _ln_minus_digamma,
     _shape_terms,
 )
 
@@ -72,10 +71,10 @@ def test_ln_minus_digamma_keeps_relative_precision():
     # target; taken as a difference it loses ~1e-10 by x = 1e5.
     for x in [float(x) for x in np.geomspace(10.0, 1e6, 241)]:
         expected = mpmath.log(x) - mpmath.digamma(x)
-        assert abs(_ln_minus_digamma(x) - expected) <= 1e-14 * expected, x
+        assert abs(_shape_terms(x)[0] - expected) <= 1e-14 * expected, x
     for x in [float(x) for x in np.geomspace(1e-3, 10.0, 61)]:
         expected = float(mpmath.log(x) - mpmath.digamma(x))
-        assert math.isclose(_ln_minus_digamma(x), expected, rel_tol=1e-12), x
+        assert math.isclose(_shape_terms(x)[0], expected, rel_tol=1e-12), x
 
 
 def test_recurrence_relations():
@@ -100,10 +99,20 @@ def test_domain_rejected(fn, bad):
         fn(bad)
 
 
+def _digamma_by_its_own_loop(x: float) -> float:
+    """digamma(x) as it was computed before it shared trigamma's loop."""
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    return shift + math.log(x) - 0.5 / x - _even_series(_DIGAMMA_COEFFS, r) * r
+
+
 def _ln_minus_digamma_by_its_own_series(x: float) -> float:
     """ln(x) - digamma(x) as it was computed before :func:`_shape_terms`."""
     if x < 10.0:
-        return math.log(x) - digamma(x)
+        return math.log(x) - _digamma_by_its_own_loop(x)
     r = 1.0 / (x * x)
     return 0.5 / x + _even_series(_DIGAMMA_COEFFS, r) * r
 
@@ -121,7 +130,7 @@ def _trigamma_by_its_own_loop(x: float) -> float:
 def _assert_shape_terms_exact(x: float) -> None:
     want = (_ln_minus_digamma_by_its_own_series(x), _trigamma_by_its_own_loop(x))
     assert _shape_terms(x) == want, x
-    assert _ln_minus_digamma(x) == want[0], x
+    assert digamma(x) == _digamma_by_its_own_loop(x), x
     assert trigamma(x) == want[1], x
 
 
@@ -140,8 +149,16 @@ def test_shape_terms_equal_the_separate_functions_around_the_threshold():
         _assert_shape_terms_exact(x)
 
 
-# Below about 1e-154, x * x underflows to 0 and trigamma divides by zero.
+# Below about 1e-154, 1/x**2 is past the largest double, and below about
+# 1.5e-162 x * x underflows to 0 and the copied trigamma loop divides by zero;
+# test_tiny_arguments_overflow covers that range.
 @settings(max_examples=500, deadline=None)
 @given(x=st.floats(min_value=1e-150, max_value=1e300))
 def test_shape_terms_equal_the_separate_functions_on_drawn_floats(x):
     _assert_shape_terms_exact(x)
+
+
+@pytest.mark.parametrize("x", [1e-155, 1e-163, 1e-200, 5e-324])
+def test_tiny_arguments_overflow(x):
+    assert trigamma(x) == math.inf
+    assert digamma(x) == _digamma_by_its_own_loop(x)
