@@ -376,7 +376,8 @@ def _cmd_announce_encode(args) -> int:
     text = _read_source(args.source)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Malformed JSON, or an integer literal past Python's digit limit.
         raise JitterFitError(f"announcement JSON is invalid: {exc}") from None
     if not isinstance(payload, dict):
         raise JitterFitError("announcement JSON must be an object")
@@ -391,20 +392,9 @@ def _cmd_announce_encode(args) -> int:
             model = _MODEL_NAMES[model.strip().lower()]
         except KeyError:
             raise JitterFitError(f"unknown model name {payload['model']!r}") from None
-    elif not isinstance(model, int):
-        raise JitterFitError(f"model must be a name or an integer id, got {model!r}")
-    params = payload["params"]
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
-    ):
-        raise JitterFitError(f"params must be a JSON array of numbers, got {params!r}")
-    try:
-        params = tuple(float(p) for p in params)
-    except OverflowError:
-        raise JitterFitError("params must be within the range of a double") from None
     record = RegimeAnnouncement(
         model=model,
-        params=params,
+        params=payload["params"],
         window_start=payload["window_start"],
         window_len=payload["window_len"],
         version=payload.get("version", WIRE_VERSION),

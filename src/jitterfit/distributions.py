@@ -169,19 +169,6 @@ def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     return out
 
 
-def _checked_samples(samples, minimum: int, what: str) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ParameterDomainError(f"{what} expects a 1-d array of samples")
-    if arr.size < minimum:
-        raise InsufficientDataError(
-            f"{what} needs at least {minimum} sample(s), got {arr.size}"
-        )
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ParameterDomainError(f"{what} requires finite positive samples")
-    return arr
-
-
 def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
     """The MLE of ``kind`` on finite positive samples ``s`` in ascending
     order, with ``logs = ln s`` for a gamma fit (unused for an exponential
@@ -225,6 +212,20 @@ def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
     return _gamma_from_log_moments(mean, gap)
 
 
+def _mle(kind: ModelKind, samples) -> ModelParams:
+    """:func:`_fit_sorted` on the sorted ``samples``, a 1-d array of finite
+    positive values."""
+    what = f"{kind.name.lower()} fit"
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ParameterDomainError(f"{what} expects a 1-d array of samples")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ParameterDomainError(f"{what} requires finite positive samples")
+    s = np.sort(arr)
+    with np.errstate(over="ignore"):
+        return _fit_sorted(kind, s, np.log(s) if kind is ModelKind.GAMMA else None)
+
+
 def mle_exponential(samples) -> ModelParams:
     """Maximum-likelihood exponential fit: rate = 1 / sample mean.
 
@@ -233,9 +234,7 @@ def mle_exponential(samples) -> ModelParams:
     largest double, or whose mean is so small that its reciprocal
     overflows, raise :class:`DegenerateDataError`.
     """
-    arr = np.sort(_checked_samples(samples, 1, "exponential fit"))
-    with np.errstate(over="ignore"):
-        return _fit_sorted(ModelKind.EXPONENTIAL, arr, None)
+    return _mle(ModelKind.EXPONENTIAL, samples)
 
 
 def mle_gamma(samples) -> ModelParams:
@@ -263,9 +262,7 @@ def mle_gamma(samples) -> ModelParams:
         If 100 Newton steps do not settle the shape; the exception carries
         the last shape iterate.
     """
-    arr = np.sort(_checked_samples(samples, 2, "gamma fit"))
-    with np.errstate(over="ignore"):
-        return _fit_sorted(ModelKind.GAMMA, arr, np.log(arr))
+    return _mle(ModelKind.GAMMA, samples)
 
 
 def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
@@ -284,7 +281,8 @@ def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
         ln_minus_digamma, trigamma = _shape_terms(a)
         residual = ln_minus_digamma - s
         slope = 1.0 / a - trigamma
-        a_next = a - residual / slope
+        # The slope rounds to 0 only far past the cap, from a ~ 6e15 up.
+        a_next = a - residual / slope if slope else math.inf
         if a_next <= 0.0:
             # Overshoot below zero: fall back to halving, the objective is
             # monotone so the root cannot be passed this way.

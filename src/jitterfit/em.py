@@ -25,6 +25,11 @@ refit rule, which fits each model or keeps its parameters and says why.
 :func:`e_step` and :func:`m_step` remain as the reference functions;
 :func:`em_fit` calls neither.
 
+No pass has a sample that both models score at zero density.  The initial
+fits bound ``rate * v`` by about n and ``v / b`` by about ``a * n`` at each
+sample; later, a sample's owner refits on a subset that holds it, or keeps
+the parameters that scored it finite.
+
 The loop is one private engine with two consumers.  :func:`em_fit` scores
 each pass and puts the labels in trace order;
 :func:`~jitterfit.scan.scan_trace` runs the engine on each window slice and
@@ -98,7 +103,7 @@ class Assignment:
     sample j.  ``classification_loglik`` is the log-likelihood of the samples
     under their assigned models and ``loglik_history`` holds that quantity as
     it stood after each assignment pass.  ``warnings`` collects non-fatal
-    events (frozen refits, samples no model could score).
+    events: the refits that kept a model's previous parameters.
     """
 
     labels: np.ndarray
@@ -125,12 +130,11 @@ def _log_density_matrix(samples: np.ndarray, logs: np.ndarray, params) -> np.nda
     return np.column_stack([_log_pdf_unchecked(p, samples, logs) for p in params])
 
 
-def _responsibilities(log_densities: np.ndarray) -> tuple[np.ndarray, int]:
+def _responsibilities(log_densities: np.ndarray) -> np.ndarray:
     """Normalize densities across models, row by row, in log space.
 
     Rows where every model scores zero density cannot be normalized; those
-    samples fall back to a one-hot row on model 0 and are counted in the
-    second return value.
+    samples fall back to a one-hot row on model 0.
     """
     row_max = log_densities.max(axis=1, keepdims=True)
     dead = ~np.isfinite(row_max[:, 0])
@@ -141,7 +145,7 @@ def _responsibilities(log_densities: np.ndarray) -> tuple[np.ndarray, int]:
     if dead.any():
         resp[dead, :] = 0.0
         resp[dead, 0] = 1.0
-    return resp, int(dead.sum())
+    return resp
 
 
 def e_step(trace: JitterTrace, params) -> np.ndarray:
@@ -154,8 +158,7 @@ def e_step(trace: JitterTrace, params) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         log_densities = _log_density_matrix(trace.samples, np.log(trace.samples), params)
-    resp, _ = _responsibilities(log_densities)
-    return resp
+    return _responsibilities(log_densities)
 
 
 def hard_assign(responsibilities: np.ndarray) -> np.ndarray:
@@ -235,13 +238,12 @@ def _gallop(key, x, guess: int, lo: int, hi: int) -> int:
 
 def _label_runs(
     s: np.ndarray, logs: np.ndarray, params, lows: dict
-) -> tuple[tuple[tuple[int, int, int], ...], int]:
+) -> tuple[tuple[int, int, int], ...]:
     """Label the sorted samples ``s`` (with ``logs = ln s``) under ``params``,
     the exponential model and then the gamma one.
 
     Returns the labels as runs ``(start, stop, model)`` that cover ``s`` with
-    adjacent runs always differing in model, and the number of samples that
-    scored zero density under both models.
+    adjacent runs always differing in model.
 
     ``d(v) = A ln v + B v + C`` is the gamma log-density minus the
     exponential one.  Its slope ``A/v + B`` changes sign at most once, at
@@ -276,7 +278,6 @@ def _label_runs(
         + 1.0
     )
     runs: list[tuple[int, int, int]] = []
-    dead = 0
 
     def emit(start: int, stop: int, model: int) -> None:
         if start >= stop:
@@ -287,21 +288,18 @@ def _label_runs(
             runs.append((start, stop, model))
 
     def band(start: int, stop: int) -> None:
-        nonlocal dead
         if start >= stop:
             return
-        resp, band_dead = _responsibilities(
-            _log_density_matrix(s[start:stop], logs[start:stop], params)
+        labels = hard_assign(
+            _responsibilities(_log_density_matrix(s[start:stop], logs[start:stop], params))
         )
-        labels = hard_assign(resp)
-        dead += band_dead
         edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
         for lo, hi in zip(edges, edges[1:]):
             emit(start + lo, start + hi, int(labels[lo]))
 
     if not math.isfinite(T):
         band(0, n)
-        return tuple(runs), dead
+        return tuple(runs)
 
     split = int(s.searchsorted(-A / B)) if A * B < 0.0 else n
     for side, (start, stop, slope) in enumerate(((0, split, A or B), (split, n, B))):
@@ -328,7 +326,7 @@ def _label_runs(
         emit(start, low, int(sign < 0.0))
         band(low, high)
         emit(high, stop, int(sign > 0.0))
-    return tuple(runs), dead
+    return tuple(runs)
 
 
 def _trace_labels(runs, s: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -430,12 +428,7 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
     lows: dict[tuple[int, float], tuple[int, int]] = {}
     prev_runs = None
     for iteration in range(1, config.max_iters + 1):
-        runs, dead = _label_runs(s, logs, params, lows)
-        if dead:
-            warnings.append(
-                f"iteration {iteration}: {dead} sample(s) scored zero density "
-                "under every model, assigned to model 0"
-            )
+        runs = _label_runs(s, logs, params, lows)
         if runs == prev_runs:
             return _EngineResult(s, runs, params, iteration, True, warnings)
         if on_labelled is not None:

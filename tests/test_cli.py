@@ -215,6 +215,17 @@ def test_subnormal_trace_is_reported(tmp_path, capsys):
     )
 
 
+def test_trace_of_two_nearly_equal_samples_is_reported(tmp_path, capsys):
+    # A log-moment gap of about 1e-32 starts the gamma shape solve near 1e31.
+    path = tmp_path / "narrow.txt"
+    path.write_text("1\n1.0000000000000004\n")
+    assert main(["fit", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: initial fit failed for model 1 (gamma): gamma shape estimate "
+        "exceeded 1e+06; samples are too concentrated for a meaningful fit\n"
+    )
+
+
 # Twelve segments, so the labels file holds two-digit labels, and enough
 # samples for the trace file to span several read chunks.
 GOLDEN_SEGMENTS = ",".join(
@@ -260,6 +271,18 @@ def test_bad_segment_descriptors(tmp_path, capsys, segments):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        ("exp:mu=1:ten", "bad segment 'exp:mu=1:ten': length 'ten' is not an integer"),
+        ("exp:mu1:1000", "bad segment 'exp:mu1:1000': expected param=value, got 'mu1'"),
+    ],
+)
+def test_bad_segment_descriptors_name_the_fault(tmp_path, capsys, segments, message):
+    assert main(["gen", str(tmp_path / "t.txt"), "--segments", segments]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_announce_encode_decode_round_trip(tmp_path, capsys):
@@ -312,16 +335,17 @@ def test_announce_encode_rejects_bad_json(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"params": "12"}, "params must be a JSON array of numbers"),
-        ({"params": 2.0}, "params must be a JSON array of numbers"),
-        ({"params": [True]}, "params must be a JSON array of numbers"),
-        ({"params": [None]}, "params must be a JSON array of numbers"),
+        ({"params": "12"}, "params must be a list or tuple of real numbers"),
+        ({"params": 2.0}, "params must be a list or tuple of real numbers"),
+        ({"params": [True]}, "params must be a list or tuple of real numbers"),
+        ({"params": [None]}, "params must be a list or tuple of real numbers"),
         ({"params": [10**400]}, "range of a double"),
         ({"window_start": False}, "window start must be an integer"),
         ({"window_len": True}, "window length must be an integer"),
         ({"model": True}, "unknown model id"),
-        ({"model": [0]}, "model must be a name or an integer id"),
+        ({"model": [0]}, "unknown model id [0]"),
         ({"version": True}, "unsupported format version"),
+        ({"model": "pareto"}, "unknown model name 'pareto'"),
     ],
 )
 def test_announce_encode_rejects_malformed_fields(tmp_path, capsys, overrides, message):
@@ -333,6 +357,38 @@ def test_announce_encode_rejects_malformed_fields(tmp_path, capsys, overrides, m
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+LONG_INTEGER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "params, window_start",
+    [(f"[{LONG_INTEGER}]", "0"), ("[2.0]", LONG_INTEGER)],
+    ids=["params", "window_start"],
+)
+def test_announce_encode_rejects_an_integer_past_the_digit_limit(
+    tmp_path, capsys, params, window_start
+):
+    # Python's JSON parser refuses integer literals of over 4300 digits with
+    # a ValueError of its own, not a JSONDecodeError.
+    src = tmp_path / "record.json"
+    src.write_text(
+        f'{{"model": "exponential", "params": {params}, '
+        f'"window_start": {window_start}, "window_len": 5}}'
+    )
+    assert main(["announce-encode", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: announcement JSON is invalid: Exceeds the limit")
+    assert captured.err.count("\n") == 1
+
+
+def test_announce_encode_rejects_json_that_is_not_an_object(tmp_path, capsys):
+    src = tmp_path / "record.json"
+    src.write_text("[1, 2]")
+    assert main(["announce-encode", str(src)]) == 1
+    assert capsys.readouterr().err == "error: announcement JSON must be an object\n"
 
 
 def test_announce_encode_rejects_a_fractional_version(tmp_path, capsys):

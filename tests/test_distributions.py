@@ -229,6 +229,31 @@ def test_mle_gamma_insufficient_and_invalid():
         mle_gamma(np.array([1.0, -2.0]))
 
 
+def test_mle_checks_the_domain_before_the_sample_count():
+    with pytest.raises(ParameterDomainError) as caught:
+        mle_exponential(np.ones((2, 2)))
+    assert str(caught.value) == "exponential fit expects a 1-d array of samples"
+    # Too few samples and out of the domain: the domain is named.
+    with pytest.raises(ParameterDomainError) as caught:
+        mle_gamma([-1.0])
+    assert str(caught.value) == "gamma fit requires finite positive samples"
+    with pytest.raises(InsufficientDataError) as caught:
+        mle_exponential([])
+    assert str(caught.value) == "exponential fit needs at least 1 sample(s), got 0"
+    with pytest.raises(InsufficientDataError) as caught:
+        mle_gamma([1.0])
+    assert str(caught.value) == "gamma fit needs at least 2 sample(s), got 1"
+
+
+@pytest.mark.parametrize("high", [1.0000000000000004, 1.0000000000000009])
+def test_mle_gamma_rejects_a_start_far_past_the_shape_cap(high):
+    # The log-moment gap of these pairs is about 1e-31, which starts the
+    # shape solve near 1e31, where the Newton slope 1/a - trigamma(a)
+    # rounds to 0.
+    with pytest.raises(DegenerateDataError, match=r"shape estimate exceeded 1e\+06"):
+        mle_gamma([1.0, high])
+
+
 def test_mle_gamma_constant_samples_degenerate():
     with pytest.raises(DegenerateDataError):
         mle_gamma(np.full(100, 3.25))

@@ -18,12 +18,17 @@ zero-density rows.  The models are in the engine's fixed order: the
 exponential is model 0, the gamma model 1.
 
 ``_oracle_label_runs`` is the labeller as it was before it galloped from
-the previous pass's band edges: it bisects every edge on every pass.  The
-galloping labeller must return its runs and dead count whatever edges it is
-handed, and on every pass of the drawn-mix fits.  Runs hide an edge found
-one place too far out, as the reference predicate labels that sample as the
-sign would, so ``_gallop`` is also checked on its own against
-``bisect.bisect_left``.
+the previous pass's band edges: it bisects every edge on every pass, and
+counts the samples both models score at zero density.  The galloping
+labeller must return its runs whatever edges it is handed, and on every
+pass of the drawn-mix fits, where the oracle must count no such sample.
+Runs hide an edge found one place too far out, as the reference predicate
+labels that sample as the sign would, so ``_gallop`` is also checked on its
+own against ``bisect.bisect_left``.
+
+The engine reports no zero-density samples, because a fit cannot make one:
+the oracles keep their warning, and the extreme-spread fuzz holds the
+engine to the oracle where such a sample would be likeliest.
 """
 
 import bisect
@@ -72,6 +77,11 @@ def _log_density_matrix(trace: JitterTrace, params) -> np.ndarray:
     return np.column_stack([log_pdf_many(p, trace.samples) for p in params])
 
 
+def _dead_rows(log_densities: np.ndarray) -> int:
+    """The number of samples every model scores at zero density."""
+    return int((~np.isfinite(log_densities.max(axis=1))).sum())
+
+
 def _oracle_em_fit(
     trace: JitterTrace, config: EMConfig = EMConfig(), masses: list | None = None
 ) -> Assignment:
@@ -96,7 +106,8 @@ def _oracle_em_fit(
     labels = np.zeros(len(trace), dtype=np.int64)
     for iteration in range(1, config.max_iters + 1):
         log_densities = _log_density_matrix(trace, params)
-        resp, dead = _responsibilities(log_densities)
+        resp = _responsibilities(log_densities)
+        dead = _dead_rows(log_densities)
         if dead:
             warnings.append(
                 f"iteration {iteration}: {dead} sample(s) scored zero density "
@@ -212,13 +223,15 @@ _drawn_mixes = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(trace=_drawn_mixes)
-def test_engine_matches_oracle_on_drawn_mixes(trace):
-    # A history entry is a sum of per-sample log-densities of either sign;
-    # the engine sums it run by run over the sorted samples, the oracle in
-    # trace order, so the two differ by rounding on the pass's absolute
-    # log-density mass, not on the (possibly near-zero) sum itself.
+def _assert_fuzz_parity(trace, where):
+    """Parity with the oracle, or the same SetupError; returns the engine's
+    fit and the oracle's, or None on a SetupError.
+
+    A history entry is a sum of per-sample log-densities of either sign;
+    the engine sums it run by run over the sorted samples, the oracle in
+    trace order, so the two differ by rounding on the pass's absolute
+    log-density mass, not on the (possibly near-zero) sum itself.
+    """
     config, masses = EMConfig(), []
     try:
         want = _oracle_em_fit(trace, config, masses)
@@ -226,11 +239,55 @@ def test_engine_matches_oracle_on_drawn_mixes(trace):
         with pytest.raises(SetupError) as got:
             em_fit(trace, config)
         assert str(got.value) == str(exc)
-        return
+        return None
     got = em_fit(trace, config)
-    _assert_same_fit(got, want, "drawn mix")
+    _assert_same_fit(got, want, where)
     for ours, theirs, mass in zip(got.loglik_history, want.loglik_history, masses):
         assert ours == theirs or abs(ours - theirs) <= 1e-12 * mass
+    return got, want
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_drawn_mixes)
+def test_engine_matches_oracle_on_drawn_mixes(trace):
+    _assert_fuzz_parity(trace, "drawn mix")
+
+
+def _extreme_trace(clusters, seed):
+    """Samples log-uniform over [10**low, 10**(low + width)], capped at
+    1e308, for each cluster ``(low, width, count)``."""
+    rng = np.random.default_rng(seed)
+    exponents = [
+        rng.uniform(low, min(low + width, 308.0), count) for low, width, count in clusters
+    ]
+    return JitterTrace(10.0 ** np.concatenate(exponents))
+
+
+# One to three clusters anywhere from subnormal to near the largest double,
+# from a single decade wide or less to the whole range: where a sample
+# that both models score at zero density would be likeliest.
+_extreme_traces = st.builds(
+    _extreme_trace,
+    clusters=st.lists(
+        st.tuples(st.floats(-310.0, 308.0), st.floats(0.0, 618.0), st.integers(1, 150)),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_extreme_traces)
+def test_no_pass_scores_a_sample_at_zero_density_under_both_models(trace):
+    # The engine keeps no count of such samples; the oracle does, and warns.
+    fits = _assert_fuzz_parity(trace, "extreme spread")
+    if fits is None:
+        return
+    got, want = fits
+    assert not any("zero density" in warning for warning in want.warnings)
+    assert all(math.isfinite(entry) for entry in got.loglik_history)
+    assert math.isfinite(got.classification_loglik)
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,27 +368,25 @@ def test_em_fit_labels_follow_permuted_samples(seed):
 
 
 def _engine_labels(samples, params):
-    """Labels and dead count from the engine's labeller, in input order,
-    with overflow silenced as the engine silences it."""
+    """Labels from the engine's labeller, in input order, with overflow
+    silenced as the engine silences it."""
     samples = np.asarray(samples, dtype=np.float64)
     s = np.sort(samples)
     with np.errstate(over="ignore"):
-        runs, dead = _label_runs(s, np.log(s), params, {})
+        runs = _label_runs(s, np.log(s), params, {})
     assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert runs[0][0] == 0 and runs[-1][1] == s.size
-    return _trace_labels(runs, s, samples), dead
+    return _trace_labels(runs, s, samples)
 
 
 def _reference_labels(samples, params):
-    resp, dead = _responsibilities(_log_density_matrix(JitterTrace(samples), params))
-    return hard_assign(resp), dead
+    return hard_assign(_responsibilities(_log_density_matrix(JitterTrace(samples), params)))
 
 
 def _assert_labeller_agrees(samples, params):
-    got, got_dead = _engine_labels(samples, params)
-    want, want_dead = _reference_labels(samples, params)
+    got = _engine_labels(samples, params)
+    want = _reference_labels(samples, params)
     assert np.array_equal(got, want)
-    assert got_dead == want_dead
     assert np.array_equal(hard_assign(e_step(JitterTrace(samples), params)), want)
     return got
 
@@ -421,6 +476,7 @@ def test_labeller_one_model_wins_every_sample(exponential, gamma):
 def test_labeller_zero_density_rows():
     # rate 1e308 sends the exponential log-density to -inf everywhere but
     # the smallest samples; a tiny gamma scale does the same to the gamma.
+    # The oracle labeller counts the rows that fall back to model 0.
     cases = [
         ([10.0, 1e-310, 1.0], ModelParams.exponential(1e308), ModelParams.gamma(1.0, 1.0)),
         ([1.0, 1e308, 5.0], ModelParams.exponential(10.0), ModelParams.gamma(2.0, 1e-3)),
@@ -430,7 +486,9 @@ def test_labeller_zero_density_rows():
     for samples, exponential, gamma in cases:
         params = (exponential, gamma)
         _assert_labeller_agrees(np.array(samples), params)
-        dead_seen += _engine_labels(np.array(samples), params)[1]
+        s = np.sort(samples)
+        with np.errstate(over="ignore"):
+            dead_seen += _oracle_label_runs(s, np.log(s), params)[1]
     assert dead_seen > 0
 
 
@@ -441,7 +499,8 @@ def _oracle_label_runs(
     s: np.ndarray, logs: np.ndarray, params
 ) -> tuple[tuple[tuple[int, int, int], ...], int]:
     """The bisect-only labeller, verbatim but for the ``em.`` prefix on the
-    engine's private names (its docstring is left out)."""
+    engine's private names (its docstring is left out), with its own count of
+    the samples both models score at zero density."""
     exponential, gamma = params
     a, b, rate = gamma.shape, gamma.scale, exponential.rate
     A = a - 1.0
@@ -472,11 +531,9 @@ def _oracle_label_runs(
         nonlocal dead
         if start >= stop:
             return
-        resp, band_dead = _responsibilities(
-            em._log_density_matrix(s[start:stop], logs[start:stop], params)
-        )
-        labels = hard_assign(resp)
-        dead += band_dead
+        log_densities = em._log_density_matrix(s[start:stop], logs[start:stop], params)
+        labels = hard_assign(_responsibilities(log_densities))
+        dead += _dead_rows(log_densities)
         edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
         for lo, hi in zip(edges, edges[1:]):
             emit(start + lo, start + hi, int(labels[lo]))
@@ -557,7 +614,7 @@ def test_galloping_labeller_matches_bisection_for_every_hint(
             assert _label_runs(s, logs, params, dict(lows)) == want, lows
 
     with np.errstate(over="ignore"):
-        want = _oracle_label_runs(s, logs, params)
+        want, _ = _oracle_label_runs(s, logs, params)
         assert _label_runs(s, logs, params, {}) == want
     # A guess of 2 * last - before_last: exactly at each piece end, then
     # outside the samples on either side.
@@ -577,7 +634,7 @@ def test_galloping_labeller_matches_bisection_on_every_pass(trace):
     def checked(s, logs, params, lows):
         hinted = bool(lows)
         got = galloping(s, logs, params, lows)
-        assert got == _oracle_label_runs(s, logs, params), len(passes)
+        assert (got, 0) == _oracle_label_runs(s, logs, params), len(passes)
         passes.append(hinted)
         return got
 

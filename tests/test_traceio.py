@@ -17,6 +17,7 @@ from jitterfit import (
     JitterTrace,
     LabeledTrace,
     ModelParams,
+    NonConvergenceError,
     ParameterDomainError,
     RegimeSpec,
     TraceFormatError,
@@ -505,12 +506,36 @@ def test_generate_matches_scipy_distributions():
 
 
 def test_generate_gamma_small_shape():
-    # shape < 1 exercises the boost branch and piles mass near zero, where
-    # the positivity redraw has to do its job
+    # shape < 1 exercises the boost branch and piles mass near zero; at 0.5
+    # no draw underflows to 0, so the positivity redraw does not run
     spec = RegimeSpec(segments=((ModelParams.gamma(0.5, 2.0), 50000),), seed=5)
     samples = generate_synthetic(spec).trace.samples
     assert samples.min() > 0.0
     assert stats.kstest(samples, "gamma", args=(0.5, 0, 2)).pvalue > 0.01
+
+
+def test_generate_redraws_draws_that_underflow_to_zero(monkeypatch):
+    # At shape 0.005 the boost U**200 underflows to 0 now and then: 66 of
+    # the first 2000 draws, 2 of their 66 redraws, and none of the last 2.
+    sizes = []
+    draw = traceio._draw
+
+    def counted(rng, params, n):
+        sizes.append(n)
+        return draw(rng, params, n)
+
+    monkeypatch.setattr(traceio, "_draw", counted)
+    spec = RegimeSpec(segments=((ModelParams.gamma(0.005, 1.0), 2000),), seed=3)
+    samples = generate_synthetic(spec).trace.samples
+    assert sizes == [2000, 66, 2]
+    assert samples.min() > 0.0
+    assert np.array_equal(generate_synthetic(spec).trace.samples, samples)
+
+
+def test_generate_gives_up_when_every_redraw_underflows():
+    spec = RegimeSpec(segments=((ModelParams.gamma(1e-5, 1.0), 10),), seed=3)
+    with pytest.raises(NonConvergenceError, match="after 100 redraw rounds"):
+        generate_synthetic(spec)
 
 
 def test_regime_spec_validation():
