@@ -202,8 +202,6 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_trace(args) -> JitterTrace:
-    if args.max_iters < 1:
-        raise JitterFitError(f"--max-iters must be >= 1, got {args.max_iters}")
     cap = args.history_cap
     if cap < 0:
         raise JitterFitError(f"--history-cap must be >= 0, got {cap}")
@@ -239,8 +237,8 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_fit(args) -> int:
-    trace = _load_trace(args)
     config = EMConfig(max_iters=args.max_iters)
+    trace = _load_trace(args)
     result = em_fit(trace, config)
     if args.indicator_out:
         emit_indicator_csv(result, args.indicator_out)
@@ -262,9 +260,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    trace = _load_trace(args)
     spec = WindowSpec(size=args.window, stride=args.stride)
     config = EMConfig(max_iters=args.max_iters)
+    trace = _load_trace(args)
     timeline = scan_trace(trace, spec, config)
     if args.windows_out:
         rows = ["start,end,dominant,fraction_model0,converged"]

@@ -1,11 +1,13 @@
 """Log-gamma, digamma, and trigamma for positive real arguments.
 
-Each routine lifts its argument with the usual recurrence until the
-asymptotic (Stirling-type) expansion is trustworthy, then sums that
-expansion with Bernoulli-number coefficients.  Digamma and trigamma share
-one lift, so the gamma shape solve gets both from one loop.  With the
-threshold at 10 and seven series terms this stays at double-precision
-accuracy over the range the estimators ever visit, roughly [1e-3, 1e6].
+``ln_gamma`` is the standard library's ``math.lgamma`` behind this module's
+domain check.  The standard library has no polygamma, so digamma and
+trigamma are self-contained: one recurrence lifts the argument until the
+asymptotic (Stirling-type) expansion is trustworthy, then the expansion is
+summed with Bernoulli-number coefficients.  Digamma and trigamma share that
+lift, so the gamma shape solve gets both from one loop.  With the threshold
+at 10 and seven series terms this stays at double-precision accuracy over
+the range the estimators ever visit, roughly [1e-3, 1e6].
 
 Only scalars are handled here; the density code vectorizes around these.
 """
@@ -16,19 +18,7 @@ from .errors import ParameterDomainError
 
 __all__ = ["ln_gamma", "digamma", "trigamma"]
 
-_HALF_LN_TWO_PI = 0.9189385332046727  # ln(2*pi)/2
 _SHIFT_THRESHOLD = 10.0
-
-# Coefficients of x**-(2n-1) in the ln(Gamma) expansion: B_2n / (2n*(2n-1)).
-_LN_GAMMA_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
 
 # Coefficients of x**-2n in the digamma expansion: B_2n / (2n).
 _DIGAMMA_COEFFS = (
@@ -71,19 +61,12 @@ def _even_series(coeffs, r: float) -> float:
 
 
 def ln_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function, x > 0.
-
-    Uses ln(Gamma(x)) = ln(Gamma(x+k)) - ln(x(x+1)...(x+k-1)) to reach the
-    asymptotic region, then the Stirling series.
-    """
-    x = _checked(x, "ln_gamma")
-    shift = 0.0
-    while x < _SHIFT_THRESHOLD:
-        shift -= math.log(x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = _even_series(_LN_GAMMA_COEFFS, r) / x
-    return shift + (x - 0.5) * math.log(x) - x + _HALF_LN_TWO_PI + tail
+    """Natural logarithm of the gamma function, x > 0; ``inf`` where it is
+    past the largest double (x above about 2.56e305)."""
+    try:
+        return math.lgamma(_checked(x, "ln_gamma"))
+    except OverflowError:
+        return math.inf
 
 
 def _polygammas(x: float) -> tuple[float, float]:

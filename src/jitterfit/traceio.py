@@ -290,23 +290,25 @@ _MAX_REDRAW_ROUNDS = 100
 
 
 def _positive_variates(rng, params: ModelParams, n: int) -> np.ndarray:
-    out = _draw(rng, params, n)
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        bad = ~np.isfinite(out) | (out <= 0.0)
-        if not bad.any():
-            return out
-        out[bad] = _draw(rng, params, int(bad.sum()))
+    # A draw that overflows or divides by zero comes out inf and is redrawn
+    # below, so numpy need not warn about it.
+    with np.errstate(divide="ignore", over="ignore"):
+        out = _draw(rng, params, n)
+        for _ in range(_MAX_REDRAW_ROUNDS):
+            bad = ~np.isfinite(out) | (out <= 0.0)
+            if not bad.any():
+                return out
+            out[bad] = _draw(rng, params, int(bad.sum()))
     raise NonConvergenceError(
         f"variate generation for {params.kind.name.lower()} kept producing "
-        f"non-positive values after {_MAX_REDRAW_ROUNDS} redraw rounds"
+        f"non-positive or non-finite values after {_MAX_REDRAW_ROUNDS} redraw rounds"
     )
 
 
 def _draw(rng, params: ModelParams, n: int) -> np.ndarray:
     if params.kind is ModelKind.EXPONENTIAL:
-        # Inverse CDF; a zero uniform maps to inf and gets redrawn upstream.
-        with np.errstate(divide="ignore"):
-            return -np.log(rng.random(n)) / params.rate
+        # Inverse CDF; a zero uniform maps to inf.
+        return -np.log(rng.random(n)) / params.rate
     return _gamma_variates(rng, params.shape, params.scale, n)
 
 

@@ -37,6 +37,14 @@ def test_gen_writes_trace_and_labels(tmp_path, capsys):
     assert all(float(line) > 0 for line in lines)
 
 
+def test_gen_reports_a_segment_whose_draws_all_overflow(tmp_path, capsys):
+    out = tmp_path / "t.txt"
+    assert main(["gen", str(out), "--segments", "exp:mu=1e-320:10"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: variate generation for exponential kept producing ")
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a = _gen(tmp_path, "a.txt")
     b = _gen(tmp_path, "b.txt")
@@ -79,7 +87,23 @@ def test_nonpositive_iteration_budget_is_reported(tmp_path, capsys):
     trace = _gen(tmp_path)
     capsys.readouterr()
     assert main(["fit", str(trace), "--max-iters", "0"]) == 1
-    assert "--max-iters must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: max_iters must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["fit", "--max-iters", "0"], "max_iters must be at least 1, got 0"),
+        (["scan", "--max-iters", "0"], "max_iters must be at least 1, got 0"),
+        (["scan", "--window", "10"], "window size must be at least 100 samples, got 10"),
+        (["scan", "--stride", "0"], "stride must be at least 1, got 0"),
+    ],
+    ids=["fit-max-iters", "scan-max-iters", "scan-window", "scan-stride"],
+)
+def test_bad_flag_is_reported_before_the_trace_is_read(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing.txt"
+    assert main([argv[0], str(missing), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scan_window_larger_than_trace(tmp_path, capsys):

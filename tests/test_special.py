@@ -1,6 +1,7 @@
 """Special-function checks against mpmath at 30 digits."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -53,6 +54,21 @@ def test_matches_mpmath_over_grid(fn, oracle):
         assert abs(got - expected) <= _tol(expected), (
             f"{fn.__name__}({x}) = {got!r}, want {expected!r}"
         )
+
+
+def test_ln_gamma_matches_mpmath_to_2e_15_relative_over_grid():
+    for x in GRID:
+        expected = float(mpmath.loggamma(mpmath.mpf(x)))
+        got = ln_gamma(x)
+        assert abs(got - expected) <= 2e-15 * max(abs(expected), 1.0), (
+            f"ln_gamma({x}) = {got!r}, want {expected!r}"
+        )
+
+
+@pytest.mark.parametrize("x", [1e306, 1e308, sys.float_info.max])
+def test_ln_gamma_past_the_largest_double_is_inf(x):
+    # The suite turns warnings into errors, so this also checks for none.
+    assert ln_gamma(x) == math.inf
 
 
 def test_known_values():

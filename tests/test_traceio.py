@@ -538,6 +538,25 @@ def test_generate_gives_up_when_every_redraw_underflows():
         generate_synthetic(spec)
 
 
+def test_generate_redraws_draws_that_overflow_to_inf():
+    # At scale 1e308 any core draw above about 1.8 overflows to inf in the
+    # final multiply; those draws are redrawn without a numpy warning.
+    spec = RegimeSpec(segments=((ModelParams.gamma(2.0, 1e308), 10),), seed=0)
+    samples = generate_synthetic(spec).trace.samples
+    assert np.isfinite(samples).all()
+    assert samples.min() > 0.0
+    assert np.array_equal(generate_synthetic(spec).trace.samples, samples)
+
+
+def test_generate_gives_up_when_every_redraw_overflows():
+    # 1 / 1e-320 is past the largest double, so every inverse-CDF draw is inf.
+    spec = RegimeSpec(segments=((ModelParams.exponential(1e-320), 10),), seed=0)
+    with pytest.raises(
+        NonConvergenceError, match="non-finite values after 100 redraw rounds"
+    ):
+        generate_synthetic(spec)
+
+
 def test_regime_spec_validation():
     good = (ModelParams.exponential(1.0), 5)
     with pytest.raises(ParameterDomainError):
