@@ -81,10 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--window",
         type=int,
-        default=3500,
+        default=WindowSpec.size,
         metavar="N",
-        help="samples per window (default 3500: quick to react to a regime "
-        "shift while keeping the shape estimate stable)",
+        help="samples per window (default %(default)s: quick to react to a "
+        "regime shift while keeping the shape estimate stable)",
     )
     scan.add_argument(
         "--stride",
@@ -194,10 +194,10 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-iters",
         type=int,
-        default=50,
+        default=EMConfig.max_iters,
         metavar="K",
-        help="EM iteration budget per fit (default 50; runs typically "
-        "stabilize well before that)",
+        help="EM iteration budget per fit (default %(default)s; runs "
+        "typically stabilize well before that)",
     )
 
 

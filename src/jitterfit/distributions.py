@@ -28,6 +28,7 @@ from .special import _shape_terms, ln_gamma
 
 __all__ = [
     "GAMMA_SHAPE_CAP",
+    "MIN_SUBSET_SIZE",
     "ModelKind",
     "ModelParams",
     "log_pdf",
@@ -281,12 +282,10 @@ def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
         ln_minus_digamma, trigamma = _shape_terms(a)
         residual = ln_minus_digamma - s
         slope = 1.0 / a - trigamma
-        # The slope rounds to 0 only far past the cap, from a ~ 6e15 up.
+        # ln a - psi(a) falls and is convex, and the closed-form start is
+        # within 1.5% of the root, so no step lands at or below 0.  The slope
+        # rounds to 0 only far past the cap, from a ~ 6e15 up.
         a_next = a - residual / slope if slope else math.inf
-        if a_next <= 0.0:
-            # Overshoot below zero: fall back to halving, the objective is
-            # monotone so the root cannot be passed this way.
-            a_next = 0.5 * a
         if a_next > GAMMA_SHAPE_CAP:
             raise DegenerateDataError(
                 f"gamma shape estimate exceeded {GAMMA_SHAPE_CAP:g}; samples are "

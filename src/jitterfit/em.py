@@ -43,13 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import (
-    MIN_SUBSET_SIZE,
-    ModelKind,
-    ModelParams,
-    _fit_sorted,
-    _log_pdf_unchecked,
-)
+from .distributions import ModelKind, ModelParams, _fit_sorted, _log_pdf_unchecked
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -62,7 +56,6 @@ from .special import ln_gamma
 from .traceio import JitterTrace
 
 __all__ = [
-    "MIN_SUBSET_SIZE",
     "EMConfig",
     "Assignment",
     "e_step",

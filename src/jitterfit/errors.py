@@ -5,6 +5,20 @@ Everything raised on purpose derives from :class:`JitterFitError`, so callers
 apart by subclass.
 """
 
+import numbers
+
+__all__ = [
+    "JitterFitError",
+    "ParameterDomainError",
+    "SingularDensityError",
+    "InsufficientDataError",
+    "DegenerateDataError",
+    "NonConvergenceError",
+    "SetupError",
+    "TraceFormatError",
+    "WireFormatError",
+]
+
 
 class JitterFitError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,11 +29,15 @@ class ParameterDomainError(JitterFitError, ValueError):
 
 
 def _int_field(name: str, value) -> int:
-    """``int(value)``, or a :class:`ParameterDomainError` naming the field."""
+    """``int(value)``, or a :class:`ParameterDomainError` naming the field
+    when that fails or would drop a fraction (``2.5``; ``250.0`` is fine)."""
     try:
-        return int(value)
+        result = int(value)
+        if isinstance(value, numbers.Number) and value != result:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ParameterDomainError(f"{name} must be an integer, got {value!r}") from None
+    return result
 
 
 class SingularDensityError(JitterFitError, ValueError):

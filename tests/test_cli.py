@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import jitterfit
-from jitterfit.cli import main
+from jitterfit import EMConfig, WindowSpec
+from jitterfit.cli import build_parser, main
 
 WORKED_EXAMPLE_HEX = "01000140000000000000000000000000000dac"
 
@@ -468,6 +469,18 @@ def test_help_documents_defaults(capsys):
         main(["fit", "--help"])
     text = capsys.readouterr().out
     assert "50" in text and "30000" in text
+
+
+def test_fit_and_scan_take_their_defaults_from_the_specs(capsys):
+    parser = build_parser()
+    fit = parser.parse_args(["fit", "trace.txt"])
+    scan = parser.parse_args(["scan", "trace.txt"])
+    assert EMConfig(fit.max_iters) == EMConfig(scan.max_iters) == EMConfig()
+    assert WindowSpec(scan.window, scan.stride) == WindowSpec()
+    for command, phrase in (("scan", "default 3500"), ("fit", "default 50")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert phrase in " ".join(capsys.readouterr().out.split()), command
 
 
 def test_console_script_entry_point():

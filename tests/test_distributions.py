@@ -254,6 +254,20 @@ def test_mle_gamma_rejects_a_start_far_past_the_shape_cap(high):
         mle_gamma([1.0, high])
 
 
+def test_gamma_shape_solve_stays_positive_over_every_reachable_gap():
+    # No trace gives a log-moment gap above ln(largest double) - ln(smallest
+    # subnormal), about 1454.2.  Across the range every Newton iterate stays
+    # positive: a non-positive one would surface as a bare exception from
+    # the shape terms, not as a fit or the shape-cap error.
+    for gap in np.geomspace(1e-7, 1460.0, 50_000):
+        try:
+            shape = distributions._gamma_from_log_moments(1.0, float(gap)).shape
+        except DegenerateDataError as exc:
+            assert str(exc).startswith("gamma shape estimate exceeded"), gap
+        else:
+            assert 0.0 < shape <= distributions.GAMMA_SHAPE_CAP, gap
+
+
 def test_mle_gamma_constant_samples_degenerate():
     with pytest.raises(DegenerateDataError):
         mle_gamma(np.full(100, 3.25))
