@@ -15,6 +15,7 @@ produce byte-identical outputs, so runs can be diffed.
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .scan import WindowSpec, scan_trace
 from .traceio import (
     JitterTrace,
     RegimeSpec,
-    _write_lines,
+    _write_labels,
     emit_indicator_csv,
     generate_synthetic,
     ingest_trace,
@@ -239,7 +240,8 @@ def _json_text(payload: dict) -> str:
 def _cmd_fit(args) -> int:
     config = EMConfig(max_iters=args.max_iters)
     trace = _load_trace(args)
-    result = em_fit(trace, config)
+    # No output holds the per-pass history, so no pass is scored.
+    result = em_fit(trace, config, record_history=False)
     if args.indicator_out:
         emit_indicator_csv(result, args.indicator_out)
     counts = np.bincount(result.labels, minlength=len(ModelKind))
@@ -342,11 +344,13 @@ def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
 
 
 def _cmd_gen(args) -> int:
+    labels_path = args.labels_out or f"{args.out}.labels"
+    if os.path.realpath(labels_path) == os.path.realpath(args.out):
+        raise JitterFitError("--labels-out must not be the trace path")
     spec = RegimeSpec(segments=_parse_segments(args.segments), seed=args.seed)
     labeled = generate_synthetic(spec)
     write_trace(labeled.trace, args.out)
-    labels_path = args.labels_out or f"{args.out}.labels"
-    _write_lines(labels_path, labeled.truth_labels, "%d\n")
+    _write_labels(labels_path, labeled.truth_labels)
     sys.stdout.write(
         f"wrote {len(labeled.trace)} samples to {args.out} "
         f"(labels in {labels_path})\n"

@@ -30,10 +30,12 @@ fits bound ``rate * v`` by about n and ``v / b`` by about ``a * n`` at each
 sample; later, a sample's owner refits on a subset that holds it, or keeps
 the parameters that scored it finite.
 
-The loop is one private engine with two consumers.  :func:`em_fit` scores
-each pass and puts the labels in trace order;
-:func:`~jitterfit.scan.scan_trace` runs the engine on each window slice and
-reports only what it needs, the run lengths and the final parameters.
+The loop is one private engine with two consumers.  :func:`em_fit` puts
+the labels in trace order and, unless told not to record the history,
+scores each pass; :func:`~jitterfit.scan.scan_trace` runs the engine on each
+window slice and reports only what it needs, the run lengths and the final
+parameters.  Scoring a pass is an O(n) sum of log-densities, so the CLI's
+``fit``, whose outputs hold no history, asks for none.
 """
 
 import bisect
@@ -95,8 +97,9 @@ class Assignment:
     ``labels[j]`` is the index into ``final_params`` of the model that owns
     sample j.  ``classification_loglik`` is the log-likelihood of the samples
     under their assigned models and ``loglik_history`` holds that quantity as
-    it stood after each assignment pass.  ``warnings`` collects non-fatal
-    events: the refits that kept a model's previous parameters.
+    it stood after each assignment pass, or is ``()`` when the run did not
+    record it.  ``warnings`` collects non-fatal events: the refits that kept
+    a model's previous parameters.
     """
 
     labels: np.ndarray
@@ -433,7 +436,9 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
 
 
 @np.errstate(over="ignore")
-def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
+def em_fit(
+    trace: JitterTrace, config: EMConfig = EMConfig(), *, record_history: bool = True
+) -> Assignment:
     """Run hard-assignment EM on a trace.
 
     Every candidate model is first fitted on the whole trace; those fits are
@@ -455,18 +460,22 @@ def em_fit(trace: JitterTrace, config: EMConfig = EMConfig()) -> Assignment:
     trace order once, at the end, where ``classification_loglik`` is summed
     in trace order; the ``loglik_history`` entries before it are summed run
     by run, so they can differ from a trace-order sum in the last bits.
-    :func:`~jitterfit.scan.scan_trace` runs the same engine on each window
-    but scores no pass, since it reports no log-likelihood.
+
+    Each history entry costs a pass over every sample.  With
+    ``record_history=False`` no pass is scored and ``loglik_history`` is
+    ``()``; every other field is the same, ``classification_loglik``
+    included.  :func:`~jitterfit.scan.scan_trace` runs the same engine on
+    each window but scores no pass, since it reports no log-likelihood.
     """
     history: list[float] = []
 
     def score(runs, s, logs, params) -> None:
         history.append(_run_loglik(runs, s, logs, params))
 
-    fit = _em_sorted(trace.samples, config, score)
+    fit = _em_sorted(trace.samples, config, score if record_history else None)
     labels = _trace_labels(fit.runs, fit.s, trace.samples)
     loglik = _trace_loglik(labels, trace.samples, fit.params)
-    if fit.converged:
+    if record_history and fit.converged:
         # The pass that repeated the runs went unscored; it is this one.
         history.append(loglik)
     return Assignment(

@@ -164,16 +164,26 @@ def write_trace(trace: JitterTrace, path) -> None:
     17 digits make the round trip through :func:`ingest_trace` exact for
     every double.
     """
-    _write_lines(path, trace.samples, "%.17g\n")
-
-
-def _write_lines(path, values: np.ndarray, fmt: str) -> None:
-    """Write each of ``values`` as ``fmt % value`` (one line each, LF) to a
-    new UTF-8 file at ``path``."""
+    samples = trace.samples
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, values.size, _WRITE_LINES):
-            chunk = values[start : start + _WRITE_LINES].tolist()
-            fh.write((fmt * len(chunk)) % tuple(chunk))
+        for start in range(0, samples.size, _WRITE_LINES):
+            chunk = samples[start : start + _WRITE_LINES].tolist()
+            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+
+
+def _write_labels(path, labels: np.ndarray) -> None:
+    """Write integer ``labels``, one ``f"{label}"`` per line (LF), to a new
+    UTF-8 file at ``path``.
+
+    Segment labels come in long runs, so each run is written as one repeated
+    line, at most ``_WRITE_LINES`` lines at a time.
+    """
+    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for start, stop in zip(edges, edges[1:]):
+            line = f"{int(labels[start])}\n"
+            for lo in range(start, stop, _WRITE_LINES):
+                fh.write(line * (min(stop, lo + _WRITE_LINES) - lo))
 
 
 def emit_indicator_csv(assignment, sink) -> int:

@@ -38,6 +38,17 @@ def test_gen_writes_trace_and_labels(tmp_path, capsys):
     assert all(float(line) > 0 for line in lines)
 
 
+@pytest.mark.parametrize("labels_out", ["t.txt", "./t.txt"])
+def test_gen_refuses_labels_over_the_trace(tmp_path, capsys, monkeypatch, labels_out):
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "t.txt", "--segments", "exp:mu=1:10", "--labels-out", labels_out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --labels-out must not be the trace path\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_reports_a_segment_whose_draws_all_overflow(tmp_path, capsys):
     out = tmp_path / "t.txt"
     assert main(["gen", str(out), "--segments", "exp:mu=1e-320:10"]) == 1
@@ -73,6 +84,29 @@ def test_fit_summary_and_indicator(tmp_path, capsys):
     assert rows[0] == "index,z1,z2"
     assert len(rows) == 2001
     assert rows[1].startswith("1,")
+
+
+def test_fit_scores_no_pass(tmp_path, capsys, monkeypatch):
+    # fit prints no per-pass history, so it must not pay for one: with the
+    # per-pass scorer broken, its outputs are still the unpatched run's.
+    trace = _gen(tmp_path)
+    capsys.readouterr()
+
+    def fit(tag):
+        indicator, summary = tmp_path / f"z{tag}.csv", tmp_path / f"s{tag}.json"
+        argv = ["fit", str(trace), "--indicator-out", str(indicator)]
+        assert main([*argv, "--summary-out", str(summary)]) == 0
+        return indicator.read_bytes(), summary.read_bytes()
+
+    want = fit("want")
+    assert json.loads(want[1])["iterations_used"] > 1
+
+    def refuse(*args):
+        raise AssertionError("fit scored an EM pass")
+
+    monkeypatch.setattr(jitterfit.em, "_run_loglik", refuse)
+    assert fit("got") == want
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_single_iteration_budget(tmp_path, capsys):

@@ -253,6 +253,44 @@ def test_engine_matches_oracle_on_drawn_mixes(trace):
     _assert_fuzz_parity(trace, "drawn mix")
 
 
+def _assert_unrecorded_fit_matches(trace, where):
+    """``record_history=False`` gives the default fit, field by field, but
+    for an empty history; both raise the same SetupError or neither does."""
+    try:
+        want = em_fit(trace)
+    except SetupError as exc:
+        with pytest.raises(SetupError) as got:
+            em_fit(trace, record_history=False)
+        assert str(got.value) == str(exc), where
+        return
+    got = em_fit(trace, record_history=False)
+    assert got.loglik_history == (), where
+    assert np.array_equal(got.labels, want.labels), where
+    assert got.iterations_used == want.iterations_used, where
+    assert got.converged == want.converged, where
+    assert got.final_params == want.final_params, where
+    assert got.classification_loglik == want.classification_loglik, where
+    assert got.warnings == want.warnings, where
+
+
+@pytest.mark.parametrize("mix", sorted(PARITY_MIXES))
+def test_unrecorded_history_leaves_every_other_field_alone(mix):
+    for seed in range(100):
+        _assert_unrecorded_fit_matches(PARITY_MIXES[mix](seed), f"{mix} seed {seed}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=_drawn_mixes)
+def test_unrecorded_history_leaves_every_other_field_alone_on_drawn_mixes(trace):
+    _assert_unrecorded_fit_matches(trace, "drawn mix")
+
+
+def test_record_history_is_keyword_only():
+    trace = PARITY_MIXES["reference"](0)
+    with pytest.raises(TypeError):
+        em_fit(trace, EMConfig(), False)
+
+
 def _extreme_trace(clusters, seed):
     """Samples log-uniform over [10**low, 10**(low + width)], capped at
     1e308, for each cluster ``(low, width, count)``."""

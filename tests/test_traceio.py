@@ -365,6 +365,22 @@ def test_write_trace_matches_per_sample_format_on_any_double(tmp_path_factory, v
     assert path.read_bytes() == _expected_trace_bytes(values)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.full(2 * traceio._WRITE_LINES + 3, 7),
+        np.arange(1001) % 2,
+        np.arange(13),
+        np.array([0]),
+    ],
+    ids=["one-run-across-chunks", "alternating", "zero-to-twelve", "single"],
+)
+def test_write_labels_matches_per_label_format(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    traceio._write_labels(path, labels.astype(np.int64))
+    assert path.read_bytes() == "".join(f"{v}\n" for v in labels).encode()
+
+
 # ----------------------------------------------------------- indicator CSV
 
 
