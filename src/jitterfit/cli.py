@@ -345,7 +345,11 @@ def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
 
 def _cmd_gen(args) -> int:
     labels_path = args.labels_out or f"{args.out}.labels"
-    if os.path.realpath(labels_path) == os.path.realpath(args.out):
+    # samefile also catches a hard link to the trace; it needs both files.
+    both_exist = os.path.exists(labels_path) and os.path.exists(args.out)
+    if os.path.realpath(labels_path) == os.path.realpath(args.out) or (
+        both_exist and os.path.samefile(labels_path, args.out)
+    ):
         raise JitterFitError("--labels-out must not be the trace path")
     spec = RegimeSpec(segments=_parse_segments(args.segments), seed=args.seed)
     labeled = generate_synthetic(spec)

@@ -59,12 +59,15 @@ class JitterTrace:
         return int(self.samples.size)
 
 
-# Lines go through the parser and the writers in chunks, each parsed or
-# formatted by one C-level call, so no Python list or string ever holds a
-# whole trace.  The parser reads 64k characters at a time (about 3k samples),
-# the writers write 64k lines at a time.
+# Lines go through the parser and the writers in chunks, so no Python list or
+# string ever holds a whole trace.  The parser reads 64k characters at a time
+# (about 3k samples) and parses each chunk with one bulk call.  The label and
+# indicator writers write 64k lines at a time.  The trace writer formats 8k
+# samples at a time in numpy: it holds about 200 bytes of temporaries per
+# sample, and larger chunks raise the peak memory of ``jitterfit gen``.
 _READ_CHARS = 1 << 16
 _WRITE_LINES = 1 << 16
+_TRACE_LINES = 1 << 13
 
 
 def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
@@ -162,13 +165,136 @@ def write_trace(trace: JitterTrace, path) -> None:
     """Write a trace in the line-per-sample format with 17 significant digits.
 
     17 digits make the round trip through :func:`ingest_trace` exact for
-    every double.
+    every double.  The file holds exactly the bytes of ``f"{v:.17g}\\n"`` for
+    each sample ``v``, but the lines are built in numpy, a chunk at a time.
+    With ``k = floor(log10(v))``, the product ``v * 10**(16 - k)`` is formed
+    as a double-double, exact to about 2**-100 relative, and its integer part
+    plus its fraction rounded to nearest gives the 17 digits.  A sample is
+    formatted by ``%`` on its own when that could go wrong:
+
+    - the fraction lies within 2**-40 of one half, exact ties included;
+    - the digits fall outside [10**16, 10**17), because ``log10`` put ``k``
+      one off or the rounding carried into the next decade;
+    - ``|k| > 280``, where the product's splitting steps would overflow.
     """
     samples = trace.samples
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, samples.size, _WRITE_LINES):
-            chunk = samples[start : start + _WRITE_LINES].tolist()
-            fh.write(("%.17g\n" * len(chunk)) % tuple(chunk))
+    with open(path, "wb") as fh:
+        for start in range(0, samples.size, _TRACE_LINES):
+            fh.write(_format_lines(samples[start : start + _TRACE_LINES]))
+
+
+# 10**m as a double-double (hi, lo): hi is 10**m rounded, lo the rest rounded,
+# so hi + lo is within about 2**-106 of 10**m relative.  Filled with each
+# decimal exponent the trace writer meets.
+_POW10: dict[int, tuple[float, float]] = {}
+
+
+def _pow10(m: int) -> tuple[float, float]:
+    if m not in _POW10:
+        # Python's int / int true division is correctly rounded.
+        num, den = (10**m, 1) if m >= 0 else (1, 10**-m)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        _POW10[m] = (hi, (num * hi_den - hi_num * den) / (den * hi_den))
+    return _POW10[m]
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for 53-bit doubles
+# The product's absolute error is below about 2**-47, far inside this margin.
+_TIE = 2.0**-40
+# Past 1e300, splitting a sample or a power of ten overflows.
+_K_LIMIT = 280
+
+# A line is built in a row of 48 bytes; 0 bytes are padding, deleted before
+# the chunk is written.  Bytes 0-7 hold the "0." and zeros that lead the fixed
+# form below 1, byte 8 + 2j digit j and byte 9 + 2j the point if it follows
+# digit j, bytes 42-46 the exponent of the scientific form, byte 47 the "\n".
+_ROW = 48
+# Bytes 0-7 of a row as one little-endian word, by clip(k, -5, 0) + 5.
+_PREFIXES = np.frombuffer(
+    b"\0\0\0\0\0\0\0\0" b"0.000\0\0\0" b"0.00\0\0\0\0"
+    b"0.0\0\0\0\0\0" b"0.\0\0\0\0\0\0" b"\0\0\0\0\0\0\0\0",
+    dtype="<u8",
+)
+
+
+def _format_lines(x: np.ndarray) -> bytes:
+    """``f"{v:.17g}\\n"`` for each positive finite ``v`` in ``x``, joined, as
+    ASCII bytes."""
+    n = x.size
+    k = np.floor(np.log10(x)).astype(np.int64)
+    far = np.abs(k) > _K_LIMIT
+    # A far sample is formatted by %; a stand-in keeps its arithmetic finite.
+    k[far] = 0
+    y = np.where(far, 1.0, x)
+    k_min = int(k.min())
+    table = np.array([_pow10(16 - j) for j in range(k_min, int(k.max()) + 1)])
+    index = k - k_min
+    c_hi = table[index, 0]
+    # Dekker's product: p + err == y * c_hi exactly.
+    p = y * c_hi
+    s = _SPLIT * y
+    y_hi = s - (s - y)
+    y_lo = y - y_hi
+    s = _SPLIT * c_hi
+    c_hh = s - (s - c_hi)
+    c_hl = c_hi - c_hh
+    err = ((y_hi * c_hh - p) + y_hi * c_hl + y_lo * c_hh) + y_lo * c_hl
+    whole = np.floor(p)
+    rest = (p - whole) + (err + y * table[index, 1])
+    carry = np.floor(rest)
+    frac = rest - carry
+    digits = whole.astype(np.int64) + carry.astype(np.int64)
+    fallback = far | (np.abs(frac - 0.5) <= _TIE) | (digits < 10**16)
+    digits += frac > 0.5
+    fallback |= digits >= 10**17
+
+    rows = np.zeros((n, _ROW), dtype=np.uint8)
+    # The digits as two halves of nine; the leading 0 of the first lands in
+    # bytes 6-7, which the prefix overwrites below.
+    high = digits // 10**9
+    halves = np.empty((n, 2), dtype=np.uint32)
+    halves[:, 0] = high
+    halves[:, 1] = digits - high * 10**9
+    chars = np.empty((n, 2, 9), dtype=np.uint8)
+    for j in range(8, -1, -1):
+        quotient = halves // 10
+        chars[:, :, j] = halves - quotient * 10
+        halves = quotient
+    chars += ord("0")
+    cells = rows.view("<u2")  # cell 4 + j: digit j, then the byte after it
+    cells[:, 3:21] = chars.reshape(n, 18)
+
+    fixed = (k >= -4) & (k <= 16)
+    # The digit the point follows; the fixed form below 1 has its point in
+    # the prefix.
+    point_after = np.where(fixed & (k > 0), k, 0)
+    # Trailing zeros after the point go, and the point with them when no
+    # digit follows it.
+    last = np.full(n, 16)
+    ends_in_zero = np.flatnonzero(cells[:, 20] == ord("0"))
+    tail = cells[ends_in_zero, 4:21]
+    last[ends_in_zero] = 16 - np.argmax(tail[:, ::-1] != ord("0"), axis=1)
+    keep = np.maximum(last, point_after)[ends_in_zero]
+    tail[np.arange(17) > keep[:, None]] = 0
+    cells[ends_in_zero, 4:21] = tail
+    dot = np.flatnonzero((last > point_after) & ~(fixed & (k < 0)))
+    rows.reshape(-1)[dot * _ROW + 9 + 2 * point_after[dot]] = ord(".")
+    rows.view("<u8")[:, 0] = _PREFIXES[np.clip(k, -5, 0) + 5]
+
+    sci = np.flatnonzero(~fixed)
+    exponent = np.abs(k[sci])
+    rows[sci, 42] = ord("e")
+    rows[sci, 43] = np.where(k[sci] < 0, ord("-"), ord("+"))
+    rows[sci, 44] = np.where(exponent >= 100, exponent // 100 + ord("0"), 0)
+    rows[sci, 45] = exponent // 10 % 10 + ord("0")
+    rows[sci, 46] = exponent % 10 + ord("0")
+    rows[:, 47] = ord("\n")
+
+    for row, value in zip(np.flatnonzero(fallback).tolist(), x[fallback].tolist()):
+        line = b"%.17g\n" % value
+        rows[row] = np.frombuffer(line.ljust(_ROW, b"\0"), dtype=np.uint8)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_labels(path, labels: np.ndarray) -> None:

@@ -49,6 +49,19 @@ def test_gen_refuses_labels_over_the_trace(tmp_path, capsys, monkeypatch, labels
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_refuses_labels_over_a_hard_link_to_the_trace(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_bytes(b"")
+    os.link(tmp_path / "t.txt", tmp_path / "h.txt")
+    argv = ["gen", "t.txt", "--segments", "exp:mu=1:10", "--labels-out", "h.txt"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --labels-out must not be the trace path\n"
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["h.txt", "t.txt"]
+    assert (tmp_path / "t.txt").read_bytes() == b""
+
+
 def test_gen_reports_a_segment_whose_draws_all_overflow(tmp_path, capsys):
     out = tmp_path / "t.txt"
     assert main(["gen", str(out), "--segments", "exp:mu=1e-320:10"]) == 1

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -363,6 +364,85 @@ def test_write_trace_matches_per_sample_format_on_any_double(tmp_path_factory, v
     path = tmp_path_factory.mktemp("write") / "out.txt"
     write_trace(JitterTrace(np.array(values)), path)
     assert path.read_bytes() == _expected_trace_bytes(values)
+
+
+def _powers_of_ten_and_neighbours() -> np.ndarray:
+    powers = np.array([float(f"1e{m}") for m in range(-323, 309)])
+    return np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    )
+
+
+def _dyadic_values() -> np.ndarray:
+    # m * 2**j with a 51- to 53-bit m: many of these sit exactly on a tie
+    # of the 17-digit rounding, or within 2**-40 of one.
+    rng = np.random.default_rng(19)
+    m = rng.integers(2**50, 2**53, 100_000).astype(np.float64)
+    return np.ldexp(m, rng.integers(-60, 11, m.size))
+
+
+def _format_switch_points() -> np.ndarray:
+    # %g turns to the scientific form below 1e-4 and from 1e17 up; 1e17 and
+    # the doubles next to 1e-4 and 1e17 straddle the switch.
+    steps = np.arange(-500, 501) * 2.0**-52
+    centres = np.array([1e-5, 1e-4, 1e-3, 1e15, 1e16, 1e17, 1e18])
+    return (centres[:, None] * (1.0 + steps)).ravel()
+
+
+def _random_bit_patterns() -> np.ndarray:
+    rng = np.random.default_rng(1919)
+    return rng.integers(1, 0x7FF0000000000000, 100_000, dtype=np.int64).view(np.float64)
+
+
+def _subnormals() -> np.ndarray:
+    rng = np.random.default_rng(2020)
+    bits = np.concatenate([np.arange(1, 1001), rng.integers(1, 2**52, 10_000)])
+    return bits.astype(np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _powers_of_ten_and_neighbours,
+        _dyadic_values,
+        _format_switch_points,
+        _random_bit_patterns,
+        _subnormals,
+    ],
+    ids=["powers-of-ten", "dyadic", "format-switch", "random-bits", "subnormals"],
+)
+def test_write_trace_matches_per_sample_format_on_hard_values(tmp_path, values):
+    samples = values()
+    path = tmp_path / "out.txt"
+    write_trace(JitterTrace(samples), path)
+    assert path.read_bytes() == _expected_trace_bytes(samples)
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
+def test_write_trace_is_exact_when_log10_is_one_ulp_off(tmp_path, monkeypatch, toward):
+    # The writer takes each sample's decimal exponent from np.log10, which
+    # may be an ulp off on some platforms.  Near a power of ten that puts the
+    # exponent one off; the writer must notice and format such a sample by %.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), toward))
+    samples = _powers_of_ten_and_neighbours()
+    path = tmp_path / "out.txt"
+    write_trace(JitterTrace(samples), path)
+    assert path.read_bytes() == _expected_trace_bytes(samples)
+
+
+def test_write_trace_peak_memory_is_bounded(tmp_path):
+    # The writer works a chunk at a time, so its peak stays far below the
+    # 8 MB of the trace and the 20 MB of the file.
+    trace = JitterTrace(np.random.default_rng(3).exponential(0.5, 1_000_000))
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize(
