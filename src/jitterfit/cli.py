@@ -28,6 +28,7 @@ from .scan import WindowSpec, scan_trace
 from .traceio import (
     JitterTrace,
     RegimeSpec,
+    _unchecked,
     _write_labels,
     emit_indicator_csv,
     generate_synthetic,
@@ -208,9 +209,8 @@ def _load_trace(args) -> JitterTrace:
         raise JitterFitError(f"--history-cap must be >= 0, got {cap}")
     trace = ingest_trace(args.input, offset=args.offset)
     if cap and len(trace) > cap:
-        trace = JitterTrace(
-            trace.samples[-cap:], source=f"{trace.source} (last {cap} samples)"
-        )
+        source = f"{trace.source} (last {cap} samples)"
+        trace = _unchecked(JitterTrace, samples=trace.samples[-cap:], source=source)
     return trace
 
 

@@ -332,9 +332,10 @@ def _trace_labels(runs, s: np.ndarray, samples: np.ndarray) -> np.ndarray:
     Equal samples always share a label, so each run is a range of values: a
     sample's run is the last one whose first value is not above it.
     """
-    models = np.array([model for _, _, model in runs], dtype=np.int64)
-    first_values = s[[start for start, _, _ in runs]]
-    return models[np.searchsorted(first_values, samples, side="right") - 1]
+    labels = np.full(samples.size, runs[0][2], dtype=np.int64)
+    for start, _, model in runs[1:]:
+        labels[samples >= s[start]] = model
+    return labels
 
 
 def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
@@ -350,13 +351,15 @@ def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
 def _trace_loglik(labels: np.ndarray, samples: np.ndarray, params) -> float:
     """Classification log-likelihood of ``samples`` under their ``labels``,
     summed in trace order: the per-sample log-densities of
-    :func:`_log_pdf_unchecked`, filled in model by model."""
+    :func:`_log_pdf_unchecked`, filled in model by model, 64k samples at a time."""
     densities = np.empty(samples.size)
-    for index, model in enumerate(params):
-        mask = labels == index
-        v = samples[mask]
-        logs = np.log(v) if model.kind is ModelKind.GAMMA else None
-        densities[mask] = _log_pdf_unchecked(model, v, logs)
+    for start in range(0, samples.size, 1 << 16):
+        part = slice(start, start + (1 << 16))
+        for index, model in enumerate(params):
+            mask = labels[part] == index
+            v = samples[part][mask]
+            logs = np.log(v) if model.kind is ModelKind.GAMMA else None
+            densities[part][mask] = _log_pdf_unchecked(model, v, logs)
     return float(densities.sum())
 
 
@@ -474,6 +477,7 @@ def em_fit(
 
     fit = _em_sorted(trace.samples, config, score if record_history else None)
     labels = _trace_labels(fit.runs, fit.s, trace.samples)
+    fit = fit._replace(s=None)  # frees the sorted copy before the log-likelihood
     loglik = _trace_loglik(labels, trace.samples, fit.params)
     if record_history and fit.converged:
         # The pass that repeated the runs went unscored; it is this one.

@@ -36,9 +36,9 @@ __all__ = [
 class JitterTrace:
     """An ordered run of positive, finite jitter samples (seconds).
 
-    The sample array is copied on construction and frozen read-only, so a
-    trace can be shared freely once built.  ``source`` is a human-readable
-    note about where the samples came from.
+    The constructor checks and copies the samples and freezes the copy, so a
+    trace can be shared freely; :func:`ingest_trace` and :func:`generate_synthetic`
+    hand over frozen arrays they own.  ``source`` notes where the samples came from.
     """
 
     samples: np.ndarray
@@ -59,6 +59,14 @@ class JitterTrace:
 
     def __len__(self) -> int:
         return int(self.samples.size)
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` of ``fields`` as they are: arrays that their maker has built,
+    checked and frozen, which the constructor would copy and check again."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
 
 
 # Lines go through the parser and the writers in chunks, so no Python list or
@@ -115,9 +123,11 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
                 f"cannot offset a trace spanning {vmin!r} to {vmax!r} into the "
                 "positive doubles; rescale the trace"
             )
-        arr = arr - vmin + eps
+        arr -= vmin
+        arr += eps
         source = f"{source} (offset {eps - vmin:.17g})"
-    return JitterTrace(arr, source=source)
+    arr.setflags(write=False)
+    return _unchecked(JitterTrace, samples=arr, source=source)
 
 
 def _read_samples(path, offset: bool) -> np.ndarray:
@@ -527,7 +537,7 @@ def _write_labels(path, labels: np.ndarray) -> None:
     Segment labels come in long runs, so each run is written as one repeated
     line, at most ``_WRITE_LINES`` lines at a time.
     """
-    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), labels.size]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start, stop in zip(edges, edges[1:]):
             line = f"{int(labels[start])}\n"
@@ -614,7 +624,8 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class LabeledTrace:
-    """A synthetic trace plus the ground-truth segment index per sample."""
+    """A synthetic trace plus the ground-truth segment index per sample, as
+    int64 labels the constructor copies and :func:`generate_synthetic` hands over."""
 
     trace: JitterTrace
     truth_labels: np.ndarray
@@ -636,13 +647,13 @@ def generate_synthetic(spec: RegimeSpec) -> LabeledTrace:
     samples must be strictly positive.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    chunks = []
-    labels = []
-    for index, (params, length) in enumerate(spec.segments):
-        chunks.append(_positive_variates(rng, params, length))
-        labels.append(np.full(length, index, dtype=np.int64))
-    trace = JitterTrace(np.concatenate(chunks), source=f"synthetic(seed={spec.seed})")
-    return LabeledTrace(trace, np.concatenate(labels))
+    samples = np.concatenate([_positive_variates(rng, p, n) for p, n in spec.segments])
+    lengths = [n for _, n in spec.segments]
+    labels = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    samples.setflags(write=False)
+    labels.setflags(write=False)
+    trace = _unchecked(JitterTrace, samples=samples, source=f"synthetic(seed={spec.seed})")
+    return _unchecked(LabeledTrace, trace=trace, truth_labels=labels)
 
 
 _MAX_REDRAW_ROUNDS = 100

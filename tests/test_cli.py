@@ -7,13 +7,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jitterfit
-from jitterfit import EMConfig, WindowSpec
+from jitterfit import EMConfig, JitterTrace, WindowSpec, write_trace
 from jitterfit.cli import build_parser, main
 
 WORKED_EXAMPLE_HEX = "01000140000000000000000000000000000dac"
@@ -233,6 +235,51 @@ def test_history_cap_zero_keeps_everything(tmp_path, capsys):
     assert main(["fit", str(trace), "--history-cap", "0"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 2000
+
+
+def test_history_cap_fits_the_tail_as_its_own_trace(tmp_path, capsys):
+    trace = _gen(tmp_path)
+    tail = tmp_path / "tail.txt"
+    tail.write_text("".join(trace.read_text().splitlines(keepends=True)[-500:]))
+    capsys.readouterr()
+    summaries = []
+    for path, cap in ((trace, "500"), (tail, "0")):
+        assert main(["fit", str(path), "--history-cap", cap]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+    capped, whole = summaries
+    assert capped.pop("source") == f"{trace} (last 500 samples)"
+    assert whole.pop("source") == str(tail)
+    assert capped == whole
+
+
+def _peak_bytes(argv) -> int:
+    """The tracemalloc peak of ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_peak_memory_is_bounded(tmp_path):
+    # A 1M-sample fit holds each 8 MB array once: the trace, the engine's
+    # sorted copy and its logs, one model's samples end to end, the labels.
+    # The engine's arrays set the peak, near 28 MiB.
+    path = tmp_path / "trace.txt"
+    write_trace(JitterTrace(np.random.default_rng(4).exponential(0.5, 1_000_000)), path)
+    summary = tmp_path / "summary.json"
+    argv = ["fit", str(path), "--history-cap", "0", "--summary-out", str(summary)]
+    assert _peak_bytes(argv) <= 32 * 2**20
+
+
+def test_gen_peak_memory_is_bounded(tmp_path, capsys):
+    # A 1M-sample gen builds its samples and labels once each and writes
+    # both files a chunk at a time.  The gamma sampler's temporaries for
+    # its 500k draws set the peak, near 28 MiB.
+    segments = "gamma:a=2:b=0.5:500000,exp:mu=2:500000"
+    argv = ["gen", str(tmp_path / "trace.txt"), "--segments", segments, "--seed", "3"]
+    assert _peak_bytes(argv) <= 30 * 2**20
 
 
 def test_offset_flag_allows_nonpositive_traces(tmp_path, capsys):

@@ -325,6 +325,16 @@ def test_em_config_validation():
             EMConfig(max_iters=max_iters)
 
 
+def test_assignment_copies_its_labels():
+    labels = np.array([0, 1, 0], dtype=np.int32)
+    params = (ModelParams.exponential(1.0), ModelParams.gamma(2.0, 1.0))
+    result = Assignment(labels, 1, True, params, -1.0, ())
+    labels[0] = 1
+    assert result.labels.tolist() == [0, 1, 0]
+    assert result.labels.dtype == np.int64
+    assert not result.labels.flags.writeable
+
+
 def test_assignment_is_frozen():
     trace = _exp_trace(300, seed=1)
     result = em_fit(trace)

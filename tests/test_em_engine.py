@@ -63,6 +63,7 @@ from jitterfit.em import (
     _responsibilities,
     _trace_labels,
 )
+from jitterfit.distributions import _log_pdf_unchecked
 from jitterfit.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -208,19 +209,25 @@ def test_engine_matches_oracle(mix):
 
 
 # A gamma segment, then an exponential one, over wide parameter ranges.
-_drawn_mixes = st.builds(
-    lambda shape, scale, rate, n_gamma, n_exponential, seed: _mix(
-        (ModelParams.gamma(shape, scale), n_gamma),
-        (ModelParams.exponential(rate), n_exponential),
-        seed=seed,
-    ),
-    shape=st.floats(0.3, 20.0),
-    scale=st.floats(1e-3, 1e3),
-    rate=st.floats(1e-3, 1e3),
-    n_gamma=st.integers(20, 400),
-    n_exponential=st.integers(20, 400),
-    seed=st.integers(0, 2**64 - 1),
-)
+def _mixes(most: int):
+    """Two-segment traces, gamma then exponential, of 20 to ``most`` samples
+    each."""
+    return st.builds(
+        lambda shape, scale, rate, n_gamma, n_exponential, seed: _mix(
+            (ModelParams.gamma(shape, scale), n_gamma),
+            (ModelParams.exponential(rate), n_exponential),
+            seed=seed,
+        ),
+        shape=st.floats(0.3, 20.0),
+        scale=st.floats(1e-3, 1e3),
+        rate=st.floats(1e-3, 1e3),
+        n_gamma=st.integers(20, most),
+        n_exponential=st.integers(20, most),
+        seed=st.integers(0, 2**64 - 1),
+    )
+
+
+_drawn_mixes = _mixes(400)
 
 
 def _assert_fuzz_parity(trace, where):
@@ -400,6 +407,52 @@ def test_em_fit_labels_follow_permuted_samples(seed):
     perm = np.random.default_rng(seed).permutation(len(trace))
     got = em_fit(JitterTrace(trace.samples[perm]))
     _assert_same_outcome(got, want, perm, f"seed {seed}")
+
+
+# ------------------------------------------------------ trace-order results
+
+
+def _whole_trace_loglik(labels, samples, params):
+    """The trace-order log-likelihood filled in one pass over the whole
+    trace: one mask and one subset per model."""
+    densities = np.empty(samples.size)
+    for index, model in enumerate(params):
+        mask = labels == index
+        v = samples[mask]
+        logs = np.log(v) if model.kind is ModelKind.GAMMA else None
+        densities[mask] = _log_pdf_unchecked(model, v, logs)
+    return float(densities.sum())
+
+
+def _assert_trace_order_results(samples):
+    """``_trace_labels`` puts each sample in the last run whose first value is
+    not above it, as a search of those values does, and ``_trace_loglik``,
+    which fills its densities a chunk at a time, sums to the whole-trace fill
+    bit for bit."""
+    fit = em._em_sorted(samples, EMConfig())
+    labels = _trace_labels(fit.runs, fit.s, samples)
+    models = np.array([model for _, _, model in fit.runs])
+    first_values = fit.s[[start for start, _, _ in fit.runs]]
+    searched = models[np.searchsorted(first_values, samples, side="right") - 1]
+    assert np.array_equal(labels, searched)
+    with np.errstate(over="ignore"):
+        got = em._trace_loglik(labels, samples, fit.params)
+        want = _whole_trace_loglik(labels, samples, fit.params)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [65535, 65536, 65537, 3 * 65536 + 7])
+def test_trace_order_results_at_the_chunk_edges(n):
+    trace = _mix(
+        (ModelParams.gamma(2.0, 0.5), n // 2), (ModelParams.exponential(2.0), n - n // 2), seed=n
+    )
+    _assert_trace_order_results(trace.samples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(trace=_mixes(100_000))
+def test_trace_order_results_on_long_drawn_mixes(trace):
+    _assert_trace_order_results(trace.samples)
 
 
 # ------------------------------------------------------------- run labeller

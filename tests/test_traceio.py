@@ -438,9 +438,10 @@ def test_ingest_matches_line_loop_next_to_a_byte_chunk_cut(tmp_path, bad, offset
 
 
 def test_ingest_trace_peak_memory_is_bounded(tmp_path):
-    # The reader parses a chunk of bytes at a time, so its peak is the
-    # sample array, which doubles as it fills, and the trace's copy of it:
-    # 16 MB for 1M samples, and not the 20 MB file or its lines.
+    # The reader parses a chunk of bytes at a time, and the trace takes its
+    # sample array without a copy.  So the peak is that array while it
+    # doubles, old and new buffer at once, and not the 20 MB file or its
+    # lines.
     path = tmp_path / "trace.txt"
     write_trace(JitterTrace(np.random.default_rng(4).exponential(0.5, 1_000_000)), path)
     tracemalloc.start()
@@ -841,6 +842,36 @@ def test_regime_spec_validation():
         for segments in ((segment,), (good, segment)):
             with pytest.raises(ParameterDomainError, match=message):
                 RegimeSpec(segments=segments)
+
+
+def test_labeled_trace_copies_and_freezes_labels():
+    labels = np.array([0, 1, 1], dtype=np.int32)
+    labeled = LabeledTrace(JitterTrace(np.array([1.0, 2.0, 3.0])), labels)
+    labels[0] = 7
+    assert labeled.truth_labels.tolist() == [0, 1, 1]
+    assert labeled.truth_labels.dtype == np.int64
+    with pytest.raises(ValueError):
+        labeled.truth_labels[0] = 5
+
+
+def test_ingest_and_generate_hand_over_frozen_arrays(tmp_path):
+    path = tmp_path / "trace.txt"
+    path.write_text("1.5\n2.5\n0.25\n")
+    plain = ingest_trace(path)
+    path.write_text("-1.5\n2.5\n0.25\n")
+    shifted = ingest_trace(path, offset=True)
+    spec = RegimeSpec(
+        segments=((ModelParams.exponential(1.0), 3), (ModelParams.gamma(2.0, 1.0), 2)), seed=4
+    )
+    labeled = generate_synthetic(spec)
+    for trace in (plain, shifted, labeled.trace):
+        assert trace.samples.dtype == np.float64
+    assert labeled.truth_labels.dtype == np.int64
+    assert labeled.truth_labels.tolist() == [0, 0, 0, 1, 1]
+    for array in (plain.samples, shifted.samples, labeled.trace.samples, labeled.truth_labels):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_labeled_trace_length_mismatch():
