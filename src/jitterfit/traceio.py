@@ -7,6 +7,7 @@ other tools with CRLF endings read fine; files written here always use LF.
 
 import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,12 @@ def _unchecked(cls, **fields):
 # Lines go through the parser and the writers in chunks, so no Python list or
 # string ever holds a whole trace.  The parser reads 128k bytes at a time
 # (about 6k samples) and cuts each block after its last newline; the rest
-# starts the next chunk.  It parses a chunk of plain lines with a fixed
-# number of numpy calls, so larger chunks cost less a sample until their
-# temporaries, about 300 bytes a sample, outgrow a 2 MB L2 cache: 256k
+# starts the next chunk.  It parses a chunk of plain lines, LF or CRLF, with
+# a fixed number of numpy calls, so larger chunks cost less a sample until
+# their temporaries, about 300 bytes a sample, outgrow a 2 MB L2 cache: 256k
 # chunks read a 30k-sample file slower than 128k ones.  Any other chunk is
-# parsed by one bulk call or the line loop.  The label and indicator writers
-# write 64k lines at a time.  The trace writer formats 8k samples at a time
+# decoded as text and parsed by the line loop.  The label and indicator
+# writers write 64k lines at a time.  The trace writer formats 8k samples at a time
 # in numpy: it holds about 200 bytes of temporaries per sample, and larger
 # chunks raise the peak memory of ``jitterfit gen``.
 _READ_CHARS = 1 << 17
@@ -95,10 +96,10 @@ def ingest_trace(path, *, offset: bool = False) -> JitterTrace:
     naming the line when there is one.
 
     The file is read in chunks of whole lines.  A chunk whose lines are all
-    plain decimals, ``digits[.digits][e[+-]digits]`` with LF endings, as
-    :func:`write_trace` and ``repr`` write them, is converted in numpy
-    exactly as ``float()`` converts each line: see :func:`_parse_plain`.
-    Any other chunk goes through ``float()``, in one bulk call or line by
+    plain decimals, ``digits[.digits][e[+-]digits]`` with LF or CRLF
+    endings, as :func:`write_trace`, ``repr`` and Windows tools write them,
+    is converted in numpy exactly as ``float()`` converts each line: see
+    :func:`_parse_plain`.  Any other chunk goes through ``float()`` line by
     line.
 
     With ``offset=True`` the whole trace is shifted to be strictly positive:
@@ -183,25 +184,16 @@ def _parse_bytes(data: bytes, first: int, offset: bool) -> tuple[np.ndarray, int
     """The samples in ``data``, whole lines of the file from line ``first`` on,
     and the number of those lines.
 
-    A chunk with a carriage return or a non-ASCII byte is decoded as the text
-    mode of ``open`` decodes it, with universal newlines and the same UTF-8
-    errors.  Any other chunk is split on LF only, as text mode splits it.
+    A chunk of plain lines with LF or CRLF endings goes to :func:`_parse_plain`.
+    Any other chunk, or one with a sample the trace must not hold, is decoded
+    as the text mode of ``open`` decodes it, with universal newlines and the
+    same UTF-8 errors, and goes through the line loop.
     """
-    if not data.isascii() or b"\r" in data:
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
-        return _parse_chunk(lines, first, offset), len(lines)
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    values = _parse_plain(data)
-    if values is not None and _usable(values, offset):
+    values = _parse_plain(data if data.endswith(b"\n") else data + b"\n")
+    if values is not None and np.isfinite(values).all() and (offset or (values > 0.0).all()):
         return values, values.size
-    lines = data.decode("ascii").split("\n")[:-1]
-    return _parse_chunk(lines, first, offset), len(lines)
-
-
-def _usable(values: np.ndarray, offset: bool) -> bool:
-    """Whether every sample may go into a trace as it is."""
-    return bool(np.isfinite(values).all() and (offset or (values > 0.0).all()))
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+    return _parse_lines(lines, first, offset), len(lines)
 
 
 # 10**m as a double-double (hi, lo): hi is 10**m rounded, lo the rest rounded,
@@ -240,9 +232,9 @@ def _dd_mul(a: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray):
 
 
 # The bytes of a plain line other than digits, by kind.
-_NEWLINE, _POINT, _EXP, _SIGN, _OTHER = range(5)
+_NEWLINE, _CR, _POINT, _EXP, _SIGN, _OTHER = range(6)
 _KINDS = np.full(256, _OTHER, dtype=np.uint8)
-_KINDS[[ord(c) for c in "\n.e+-"]] = [_NEWLINE, _POINT, _EXP, _SIGN, _SIGN]
+_KINDS[[ord(c) for c in "\n\r.e+-"]] = [_NEWLINE, _CR, _POINT, _EXP, _SIGN, _SIGN]
 # A mantissa, the part of a line before any "e", is parsed in the row of 24
 # bytes that ends where it ends.  _KEEP[m], as three little-endian words,
 # keeps the last m bytes of a row and clears the rest, which belong to
@@ -274,10 +266,11 @@ _PLAIN_RANGE = (1e-290, 1e290)
 
 
 def _parse_plain(data: bytes) -> np.ndarray | None:
-    """The values of the lines of ``data``, which ends with a newline, or
-    None if some line is not plain: ``digits[.digits][e[+-]digits]``, with a
-    mantissa of at most 24 bytes and at most 4 exponent digits.  As for
-    ``float()``, either run of mantissa digits may be empty, but not both.
+    """The values of the lines of ``data``, which ends with an LF, or None
+    if some line is not plain: ``digits[.digits][e[+-]digits]``, ended by an
+    LF or a CRLF, with a mantissa of at most 24 bytes and at most 4 exponent
+    digits.  As for ``float()``, either run of mantissa digits may be empty,
+    but not both.
 
     Each mantissa is gathered right-aligned into a 24-byte row, its point
     read as a 0 digit, and its digits summed to an integer ``S``.  With ``f``
@@ -297,6 +290,13 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     # The line of each byte in ``at`` is the number of newlines before it.
     line = np.cumsum(newline) - newline
     ends = at.compress(newline)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # A CR just before an LF ends its line there; any other CR is checked below.
+    is_cr = kind == _CR
+    crs = at.compress(is_cr)
+    ends[line.compress(is_cr)] = crs
     is_point = kind == _POINT
     points, point_line = at.compress(is_point), line.compress(is_point)
     is_exp = kind == _EXP
@@ -305,9 +305,6 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     signs, sign_line = at.compress(is_sign), line.compress(is_sign)
     stops = ends.copy()
     stops[e_line] = e_at
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
     widths = stops - starts
     mantissa_digits = widths.copy()
     mantissa_digits[point_line] -= 1
@@ -316,6 +313,7 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     exp_digits = ends[e_line] - e_at - 1 - (_KINDS.take(buf.take(e_at + 1)) == _SIGN)
     if (
         (kind == _OTHER).any()
+        or (buf.take(crs + 1) != ord("\n")).any()
         # At most one point and one "e" a line, the point before the "e",
         # and a sign only just after an "e".
         or (np.diff(point_line) < 1).any()
@@ -377,22 +375,10 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     return values
 
 
-def _parse_chunk(lines: list[str], first: int, offset: bool) -> np.ndarray:
+def _parse_lines(lines: list[str], first: int, offset: bool) -> np.ndarray:
     """The samples on ``lines``, the first of which is line ``first`` of the
-    file.
-
-    One bulk parse serves a chunk of plain sample lines.  A chunk with a
-    comment, a blank line, or a value the bulk parse cannot take or the
-    trace must not hold goes through the line loop, which skips the first
-    two and names the line of the first error.
+    file.  Blank and comment lines are skipped; the first bad line is named.
     """
-    try:
-        values = np.array(list(map(float, lines)), dtype=np.float64)
-    except ValueError:
-        pass
-    else:
-        if _usable(values, offset):
-            return values
     kept: list[float] = []
     for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
@@ -579,9 +565,13 @@ def _write_indicators(labels: np.ndarray, fh) -> int:
             rows[:, col] = index % 10 + ord("0")
             index //= 10
         rows[:, width:] = _ROW_TAILS[(labels[lo - 1 : hi - 1] != 0).astype(np.intp)]
-        fh.write(rows.tobytes().decode("ascii"))
+        fh.write(rows.tobytes().decode())
         lo = hi
     return int(labels.size)
+
+
+# The most float64 samples a numpy array can describe.
+_MAX_SAMPLES = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -615,6 +605,11 @@ class RegimeSpec:
                 raise ParameterDomainError("each segment needs ModelParams")
             if length < 1:
                 raise ParameterDomainError(f"segment length must be >= 1, got {length}")
+        total = sum(length for _, length in segments)
+        if total > _MAX_SAMPLES:
+            raise ParameterDomainError(
+                f"a regime spec holds at most {_MAX_SAMPLES} samples, got {total}"
+            )
         object.__setattr__(self, "segments", segments)
         seed = _int_field("seed", self.seed)
         if not 0 <= seed < 2**64:

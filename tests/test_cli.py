@@ -88,6 +88,17 @@ def test_gen_reports_a_segment_whose_draws_all_overflow(tmp_path, capsys):
     assert err.startswith("error: variate generation for exponential kept producing ")
 
 
+def test_gen_reports_a_trace_too_large_for_memory(tmp_path, capsys, monkeypatch):
+    # 10**15 samples is a valid spec, but numpy cannot allocate 7 PiB.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "t.txt", "--segments", f"exp:mu=1:{10**15}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a = _gen(tmp_path, "a.txt")
     b = _gen(tmp_path, "b.txt")
@@ -387,6 +398,30 @@ def test_gen_and_fit_outputs_match_golden_digests(tmp_path, capsys):
         "trace.txt.labels": "462c7104c14688b3d714e90654fb88a017ed11b86e8a002c2833312866354292",
         "z.csv": "2897d88d2c0b03eacae2f42e9d4f3dca6f984451ae3a0ea2fb4ea92e34c87104",
     }
+
+
+def test_fit_reads_a_crlf_trace_as_its_lf_copy(tmp_path, capsys, monkeypatch):
+    # CRLF lines are plain lines to the numpy reader, so with the line loop
+    # broken both runs still succeed, and only the summary's source differs.
+    lf = _gen(tmp_path, segments=GOLDEN_SEGMENTS, seed=20031)
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a chunk reached the line loop")
+
+    monkeypatch.setattr(jitterfit.traceio, "_parse_lines", refuse)
+
+    def fit(path):
+        indicator, summary = tmp_path / f"{path.stem}.csv", tmp_path / f"{path.stem}.json"
+        argv = ["fit", str(path), "--history-cap", "0", "--indicator-out", str(indicator)]
+        assert main([*argv, "--summary-out", str(summary)]) == 0
+        doc = json.loads(summary.read_bytes())
+        assert doc.pop("source") == str(path)
+        return indicator.read_bytes(), doc
+
+    assert fit(crlf) == fit(lf)
 
 
 @pytest.mark.parametrize(

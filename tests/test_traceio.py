@@ -206,6 +206,11 @@ def _assert_ingest_parity(path, data: bytes, offset: bool):
         b"+1.5\n.5\n5.\n1E3\n",
         b"",
         b"\n\n# only comments\n",
+        b"0.5\r\n1.5\r\nbogus\r\n",
+        b"0.5\r\n1.5\r\r\n2.5\r\n",
+        b"1.5\r\n2.5",
+        b"1.5\r",
+        b"1.5\n\r2.5\n",
     ],
 )
 def test_ingest_matches_line_loop(tmp_path, data, offset):
@@ -273,7 +278,7 @@ _LINES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     lines=st.lists(_LINES, max_size=40),
-    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]), min_size=1),
     final_newline=st.booleans(),
     read_chars=st.sampled_from([1, 4, 16, 1 << 16]),
     offset=st.booleans(),
@@ -296,17 +301,18 @@ def test_ingest_matches_line_loop_on_random_lines(
 # ------------------------------------------------ the plain-decimal reader
 #
 # A chunk of plain lines, digits[.digits][e[+-]digits], is converted in numpy
-# by _parse_plain.  Each of these inputs is plain, so _parse_plain must take
-# it, and every value must equal float() of its line bit for bit.
+# by _parse_plain.  Each of these inputs is plain, with LF or CRLF line ends,
+# so _parse_plain must take it, and every value must equal float() of its
+# line bit for bit.
 
 
 def _assert_plain_reads_as_float(lines):
-    data = ("\n".join(lines) + "\n").encode()
-    values = traceio._parse_plain(data)
-    assert values is not None
     expected = np.array([float(line) for line in lines])
-    mismatched = np.flatnonzero(values.view(np.uint64) != expected.view(np.uint64))
-    assert [lines[k] for k in mismatched[:5]] == []
+    for end in ("\n", "\r\n"):
+        values = traceio._parse_plain((end.join(lines) + end).encode())
+        assert values is not None
+        mismatched = np.flatnonzero(values.view(np.uint64) != expected.view(np.uint64))
+        assert [lines[k] for k in mismatched[:5]] == []
 
 
 _POSITIVE_DOUBLES = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
@@ -437,13 +443,15 @@ def test_ingest_matches_line_loop_next_to_a_byte_chunk_cut(tmp_path, bad, offset
             assert line_number == where + 1
 
 
-def test_ingest_trace_peak_memory_is_bounded(tmp_path):
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_ingest_trace_peak_memory_is_bounded(tmp_path, end):
     # The reader parses a chunk of bytes at a time, and the trace takes its
     # sample array without a copy.  So the peak is that array while it
     # doubles, old and new buffer at once, and not the 20 MB file or its
     # lines.
     path = tmp_path / "trace.txt"
     write_trace(JitterTrace(np.random.default_rng(4).exponential(0.5, 1_000_000)), path)
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
     tracemalloc.start()
     try:
         ingest_trace(path)
@@ -835,6 +843,12 @@ def test_regime_spec_validation():
     assert RegimeSpec(segments=((good[0], "5"),), seed="7") == RegimeSpec(
         segments=(good,), seed=7
     )
+    most = sys.maxsize // 8
+    for lengths in ((most + 1,), (2**63,), (most // 2 + 1, most // 2 + 1)):
+        with pytest.raises(ParameterDomainError, match=f"holds at most {most} samples"):
+            RegimeSpec(segments=tuple((good[0], n) for n in lengths))
+    # The largest trace numpy can describe is still a spec.
+    RegimeSpec(segments=((good[0], most),))
     with pytest.raises(ParameterDomainError, match="segments must be a sequence .* got None"):
         RegimeSpec(segments=None)
     for segment in (5, (ModelParams.exponential(1.0),), (good[0], 5, 5)):
