@@ -16,19 +16,19 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
 
 from .announce import RegimeAnnouncement, WIRE_VERSION, decode, encode
-from .distributions import ModelKind, ModelParams
+from .distributions import ModelKind, ModelParams, _unchecked
 from .em import EMConfig, em_fit
 from .errors import JitterFitError
 from .scan import WindowSpec, scan_trace
 from .traceio import (
     JitterTrace,
     RegimeSpec,
-    _unchecked,
     _write_labels,
     emit_indicator_csv,
     generate_synthetic,
@@ -203,6 +203,27 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        a_stat, b_stat = os.stat(a), os.stat(b)
+    except OSError:
+        # A path not made yet names another path's file only by its name.
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(a_stat.st_mode) and os.path.samestat(a_stat, b_stat)
+
+
+def _refuse_shared_files(*named) -> None:
+    """Raise if two of the ``(name, path)`` pairs, the paths one command
+    reads and writes, name one regular file: the same path spelt two ways,
+    or a link to it.  Devices such as ``/dev/null`` take any number of
+    writers.  A path of None is not used."""
+    given = [(name, path) for name, path in named if path is not None]
+    for index, (name, path) in enumerate(given):
+        for earlier, other in given[:index]:
+            if _same_file(path, other):
+                raise JitterFitError(f"{name} must not be the {earlier} path")
+
+
 def _load_trace(args) -> JitterTrace:
     cap = args.history_cap
     if cap < 0:
@@ -239,6 +260,11 @@ def _json_text(payload: dict) -> str:
 
 def _cmd_fit(args) -> int:
     config = EMConfig(max_iters=args.max_iters)
+    _refuse_shared_files(
+        ("trace", args.input),
+        ("--indicator-out", args.indicator_out),
+        ("--summary-out", args.summary_out),
+    )
     trace = _load_trace(args)
     # No output holds the per-pass history, so no pass is scored.
     result = em_fit(trace, config, record_history=False)
@@ -264,6 +290,11 @@ def _cmd_fit(args) -> int:
 def _cmd_scan(args) -> int:
     spec = WindowSpec(size=args.window, stride=args.stride)
     config = EMConfig(max_iters=args.max_iters)
+    _refuse_shared_files(
+        ("trace", args.input),
+        ("--windows-out", args.windows_out),
+        ("--summary-out", args.summary_out),
+    )
     trace = _load_trace(args)
     timeline = scan_trace(trace, spec, config)
     if args.windows_out:
@@ -345,22 +376,18 @@ def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
 
 def _cmd_gen(args) -> int:
     labels_path = args.labels_out or f"{args.out}.labels"
-    # samefile also catches a hard link to the trace; it needs both files.
-    both_exist = os.path.exists(labels_path) and os.path.exists(args.out)
-    if os.path.realpath(labels_path) == os.path.realpath(args.out) or (
-        both_exist and os.path.samefile(labels_path, args.out)
-    ):
-        raise JitterFitError("--labels-out must not be the trace path")
+    _refuse_shared_files(("trace", args.out), ("--labels-out", labels_path))
     spec = RegimeSpec(segments=_parse_segments(args.segments), seed=args.seed)
     labeled = generate_synthetic(spec)
     # The labels file is created first, so a labels path that cannot be
     # opened leaves no trace file behind, and a trace that cannot be written
-    # takes its labels file with it.
+    # takes its labels file with it; a device such as /dev/null stays.
     open(labels_path, "wb").close()
     try:
         write_trace(labeled.trace, args.out)
     except OSError:
-        os.remove(labels_path)
+        if os.path.isfile(labels_path):
+            os.remove(labels_path)
         raise
     _write_labels(labels_path, labeled.truth_labels)
     sys.stdout.write(

@@ -110,13 +110,13 @@ class ModelParams:
         return cls(ModelKind.GAMMA, shape=shape, scale=scale)
 
 
-def _unchecked_params(kind: ModelKind, rate=None, shape=None, scale=None) -> ModelParams:
-    """A :class:`ModelParams` built without validation, for fits that have
-    checked their own results: ``kind`` a :class:`ModelKind`, and exactly
-    its fields given as finite positive floats."""
-    params = object.__new__(ModelParams)
-    params.__dict__.update(kind=kind, rate=rate, shape=shape, scale=scale)
-    return params
+def _unchecked(cls, **fields):
+    """A frozen dataclass ``cls`` of ``fields`` as they are, every field
+    given: values that their maker has built and checked, arrays among them
+    frozen, which the constructor would check, and copy, again."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
 
 
 def log_pdf(params: ModelParams, v: float) -> float:
@@ -205,7 +205,7 @@ def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
                 f"exponential rate 1/mean = {rate!r} is not a finite double; "
                 "rescale the trace to fit it"
             )
-        return _unchecked_params(kind, rate=rate)
+        return _unchecked(ModelParams, kind=kind, rate=rate, shape=None, scale=None)
     # Constant samples have a log-moment gap of exactly 0, which the two
     # rounded means can miss by a few ulps either way.
     constant = s.item(0) == s.item(-1)
@@ -300,7 +300,9 @@ def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:
                     f"gamma scale mean/shape = {scale!r} is not a finite positive "
                     "double; rescale the trace to fit it"
                 )
-            return _unchecked_params(ModelKind.GAMMA, shape=a, scale=scale)
+            return _unchecked(
+                ModelParams, kind=ModelKind.GAMMA, rate=None, shape=a, scale=scale
+            )
     raise NonConvergenceError(
         f"gamma shape solve did not converge in {_NEWTON_MAX_ITERS} iterations",
         last_iterate=a,

@@ -31,8 +31,9 @@ sample; later, a sample's owner refits on a subset that holds it, or keeps
 the parameters that scored it finite.
 
 The loop is one private engine with two consumers.  :func:`em_fit` puts
-the labels in trace order and, unless told not to record the history,
-scores each pass; :func:`~jitterfit.scan.scan_trace` runs the engine on each
+the labels in trace order and sums their log-likelihood in one pass over
+the trace and, unless told not to record the history, scores each pass;
+:func:`~jitterfit.scan.scan_trace` runs the engine on each
 window slice and reports only what it needs, the run lengths and the final
 parameters.  Scoring a pass is an O(n) sum of log-densities, so the CLI's
 ``fit``, whose outputs hold no history, asks for none.
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ModelKind, ModelParams, _fit_sorted, _log_pdf_unchecked
+from .distributions import ModelKind, ModelParams, _fit_sorted, _log_pdf_unchecked, _unchecked
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -325,19 +326,6 @@ def _label_runs(
     return tuple(runs)
 
 
-def _trace_labels(runs, s: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """The labels of ``samples`` (in any order) under the runs over their
-    sorted copy ``s``.
-
-    Equal samples always share a label, so each run is a range of values: a
-    sample's run is the last one whose first value is not above it.
-    """
-    labels = np.full(samples.size, runs[0][2], dtype=np.int64)
-    for start, _, model in runs[1:]:
-        labels[samples >= s[start]] = model
-    return labels
-
-
 def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
     """Classification log-likelihood from the per-sample log-densities of
     :func:`_log_pdf_unchecked`, summed run by run."""
@@ -346,21 +334,6 @@ def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
         densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
         loglik += float(densities.sum())
     return loglik
-
-
-def _trace_loglik(labels: np.ndarray, samples: np.ndarray, params) -> float:
-    """Classification log-likelihood of ``samples`` under their ``labels``,
-    summed in trace order: the per-sample log-densities of
-    :func:`_log_pdf_unchecked`, filled in model by model, 64k samples at a time."""
-    densities = np.empty(samples.size)
-    for start in range(0, samples.size, 1 << 16):
-        part = slice(start, start + (1 << 16))
-        for index, model in enumerate(params):
-            mask = labels[part] == index
-            v = samples[part][mask]
-            logs = np.log(v) if model.kind is ModelKind.GAMMA else None
-            densities[part][mask] = _log_pdf_unchecked(model, v, logs)
-    return float(densities.sum())
 
 
 def _end_to_end(values: np.ndarray, own: list[slice]) -> np.ndarray:
@@ -387,10 +360,11 @@ def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
 
 
 class _EngineResult(NamedTuple):
-    """Where the sorted-order engine stopped: the sorted samples ``s``, the
-    last pass's ``runs`` over them, and the parameters after that pass."""
+    """Where the sorted-order engine stopped: the last pass's ``runs`` over
+    the sorted samples, the first sample value of each run (``firsts``),
+    and the parameters after that pass."""
 
-    s: np.ndarray
+    firsts: np.ndarray
     runs: tuple[tuple[int, int, int], ...]
     params: list[ModelParams]
     iterations_used: int
@@ -428,14 +402,41 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
     prev_runs = None
     for iteration in range(1, config.max_iters + 1):
         runs = _label_runs(s, logs, params, lows)
-        if runs == prev_runs:
-            return _EngineResult(s, runs, params, iteration, True, warnings)
+        converged = runs == prev_runs
+        if converged:
+            break
         if on_labelled is not None:
             on_labelled(runs, s, logs, params)
         params, notes = _m_step_runs(runs, s, logs, params)
         warnings.extend(f"iteration {iteration}: {note}" for note in notes)
         prev_runs = runs
-    return _EngineResult(s, runs, params, config.max_iters, False, warnings)
+    firsts = s.take([start for start, _, _ in runs])
+    return _EngineResult(firsts, runs, params, iteration, converged, warnings)
+
+
+def _trace_results(fit: _EngineResult, samples: np.ndarray) -> tuple[np.ndarray, float]:
+    """The frozen labels of ``samples``, in trace order, under the engine
+    result ``fit``, and their classification log-likelihood, 64k samples at
+    a time.
+
+    Equal samples always share a label, so each run is a range of values: a
+    sample's run is the last one whose first value is not above it.  Each
+    sample's log-density is its own model's column of
+    :func:`_log_density_matrix`, and the log-likelihood sums them in trace
+    order.  The other model's density can overflow to the right -inf;
+    callers silence the warning.
+    """
+    models = np.array([model for _, _, model in fit.runs], dtype=np.int64)
+    labels = np.empty(samples.size, dtype=np.int64)
+    densities = np.empty(samples.size)
+    for start in range(0, samples.size, 1 << 16):
+        part = slice(start, start + (1 << 16))
+        v = samples[part]
+        own = labels[part] = models.take(fit.firsts.searchsorted(v, side="right") - 1)
+        both = _log_density_matrix(v, np.log(v), fit.params)
+        densities[part] = np.take_along_axis(both, own[:, None], axis=1)[:, 0]
+    labels.setflags(write=False)
+    return labels, float(densities.sum())
 
 
 @np.errstate(over="ignore")
@@ -459,10 +460,12 @@ def em_fit(
     including those that rounding makes in the normalized densities, go to
     model 0, the exponential, as in :func:`hard_assign`.  Every fit sums its
     samples in ascending order, so each refit equals the one :func:`m_step`
-    makes on the trace-order labels, bit for bit.  The labels are put in
-    trace order once, at the end, where ``classification_loglik`` is summed
-    in trace order; the ``loglik_history`` entries before it are summed run
-    by run, so they can differ from a trace-order sum in the last bits.
+    makes on the trace-order labels, bit for bit.  The engine hands back
+    the first value of each final run, not its sorted copy.  One pass at the
+    end, 64k samples at a time, puts the labels in trace order, frozen, and
+    sums ``classification_loglik`` in that order; the ``loglik_history``
+    entries before it are summed run by run, so they can differ from a
+    trace-order sum in the last bits.
 
     Each history entry costs a pass over every sample.  With
     ``record_history=False`` no pass is scored and ``loglik_history`` is
@@ -476,13 +479,12 @@ def em_fit(
         history.append(_run_loglik(runs, s, logs, params))
 
     fit = _em_sorted(trace.samples, config, score if record_history else None)
-    labels = _trace_labels(fit.runs, fit.s, trace.samples)
-    fit = fit._replace(s=None)  # frees the sorted copy before the log-likelihood
-    loglik = _trace_loglik(labels, trace.samples, fit.params)
+    labels, loglik = _trace_results(fit, trace.samples)
     if record_history and fit.converged:
         # The pass that repeated the runs went unscored; it is this one.
         history.append(loglik)
-    return Assignment(
+    return _unchecked(
+        Assignment,
         labels=labels,
         iterations_used=fit.iterations_used,
         converged=fit.converged,

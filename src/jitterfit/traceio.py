@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import ModelKind, ModelParams
+from .distributions import ModelKind, ModelParams, _unchecked
 from .errors import (
     InsufficientDataError,
     NonConvergenceError,
@@ -60,14 +60,6 @@ class JitterTrace:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-
-def _unchecked(cls, **fields):
-    """A ``cls`` of ``fields`` as they are: arrays that their maker has built,
-    checked and frozen, which the constructor would copy and check again."""
-    made = object.__new__(cls)
-    made.__dict__.update(fields)
-    return made
 
 
 # Lines go through the parser and the writers in chunks, so no Python list or
@@ -286,6 +278,12 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     buf = np.frombuffer(data, dtype=np.uint8)
     at = np.flatnonzero((buf ^ np.uint8(0x30)) > 9)
     kind = _KINDS.take(buf.take(at))
+    is_cr = kind == _CR
+    crs = at.compress(is_cr)
+    # A byte of no plain kind, or a CR not just before an LF, rules the
+    # chunk out before the index work.
+    if (kind == _OTHER).any() or (buf.take(crs + 1) != ord("\n")).any():
+        return None
     newline = kind == _NEWLINE
     # The line of each byte in ``at`` is the number of newlines before it.
     line = np.cumsum(newline) - newline
@@ -293,9 +291,7 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    # A CR just before an LF ends its line there; any other CR is checked below.
-    is_cr = kind == _CR
-    crs = at.compress(is_cr)
+    # A CR just before an LF ends its line there.
     ends[line.compress(is_cr)] = crs
     is_point = kind == _POINT
     points, point_line = at.compress(is_point), line.compress(is_point)
@@ -312,11 +308,9 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     fraction[point_line] = stops[point_line] - points - 1
     exp_digits = ends[e_line] - e_at - 1 - (_KINDS.take(buf.take(e_at + 1)) == _SIGN)
     if (
-        (kind == _OTHER).any()
-        or (buf.take(crs + 1) != ord("\n")).any()
         # At most one point and one "e" a line, the point before the "e",
         # and a sign only just after an "e".
-        or (np.diff(point_line) < 1).any()
+        (np.diff(point_line) < 1).any()
         or (np.diff(e_line) < 1).any()
         or (fraction < 0).any()
         or (signs != stops[sign_line] + 1).any()

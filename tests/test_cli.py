@@ -16,7 +16,9 @@ import pytest
 
 import jitterfit
 from jitterfit import EMConfig, JitterTrace, WindowSpec, write_trace
-from jitterfit.cli import build_parser, main
+from jitterfit.cli import _load_trace, build_parser, main
+
+from conftest import assert_built_as_checked
 
 WORKED_EXAMPLE_HEX = "01000140000000000000000000000000000dac"
 
@@ -78,6 +80,82 @@ def test_gen_writes_nothing_when_either_file_cannot_be_opened(
     assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_keeps_a_device_labels_path_when_the_trace_cannot_be_written(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    argv = ["gen", "nodir/t.txt", "--segments", "exp:mu=1:10", "--labels-out", os.devnull]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 2] No such file or directory: 'nodir/t.txt'\n"
+    assert removed == []
+    assert list(tmp_path.iterdir()) == []
+
+
+# Paths of one fit or scan that name one file: the argv, whose last flag
+# takes the clashing path, the file that path names, and the error.
+_CLASHES = {
+    "fit-indicator-over-trace": (
+        ["fit", "t.txt", "--indicator-out"],
+        "t.txt",
+        "--indicator-out must not be the trace path",
+    ),
+    "fit-summary-over-indicator": (
+        ["fit", "t.txt", "--indicator-out", "z.csv", "--summary-out"],
+        "z.csv",
+        "--summary-out must not be the --indicator-out path",
+    ),
+    "scan-windows-over-trace": (
+        ["scan", "t.txt", "--windows-out"],
+        "t.txt",
+        "--windows-out must not be the trace path",
+    ),
+    "scan-summary-over-windows": (
+        ["scan", "t.txt", "--windows-out", "w.csv", "--summary-out"],
+        "w.csv",
+        "--summary-out must not be the --windows-out path",
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling", ["plain", "dot", "hard-link"])
+@pytest.mark.parametrize("clash", sorted(_CLASHES))
+def test_fit_and_scan_refuse_two_paths_to_one_file(
+    tmp_path, capsys, monkeypatch, clash, spelling
+):
+    argv, target, message = _CLASHES[clash]
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path, "t.txt")
+    if spelling == "hard-link":
+        if not os.path.exists(target):
+            (tmp_path / target).write_bytes(b"kept\n")
+        os.link(target, "h.csv")
+        path = "h.csv"
+    else:
+        path = target if spelling == "plain" else f"./{target}"
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([*argv, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_every_output_may_go_to_one_device(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path, "t.txt")
+    devnull = os.devnull
+    assert main(["fit", "t.txt", "--indicator-out", devnull, "--summary-out", devnull]) == 0
+    argv = ["scan", "t.txt", "--window", "500", "--windows-out", devnull, "--summary-out", devnull]
+    assert main(argv) == 0
+    assert main(["gen", devnull, "--segments", "exp:mu=1:10", "--labels-out", devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt", "t.txt.labels"]
 
 
 def test_gen_reports_a_segment_whose_draws_all_overflow(tmp_path, capsys):
@@ -238,6 +316,13 @@ def test_history_cap_keeps_most_recent(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 500
     assert "last 500" in summary["source"]
+
+
+def test_history_cap_slice_holds_what_the_checked_constructor_makes(tmp_path, capsys):
+    trace = _gen(tmp_path)
+    capped = _load_trace(build_parser().parse_args(["fit", str(trace), "--history-cap", "500"]))
+    assert len(capped) == 500
+    assert_built_as_checked(capped)
 
 
 def test_history_cap_zero_keeps_everything(tmp_path, capsys):

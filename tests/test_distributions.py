@@ -27,6 +27,8 @@ from jitterfit import (
     mle_gamma,
 )
 
+from conftest import assert_built_as_checked
+
 
 # ---------------------------------------------------------------- densities
 
@@ -220,6 +222,12 @@ def test_mle_gamma_recovers_truth():
     fit = mle_gamma(x)
     assert fit.shape == pytest.approx(4.0, rel=0.05)
     assert fit.scale == pytest.approx(1.0, rel=0.05)
+
+
+def test_fits_hold_what_the_checked_constructor_makes():
+    x = np.random.default_rng(3).gamma(2.0, 1.5, 500)
+    for fit in (mle_exponential(x), mle_gamma(x)):
+        assert_built_as_checked(fit)
 
 
 def test_mle_gamma_insufficient_and_invalid():

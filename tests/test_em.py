@@ -24,6 +24,8 @@ from jitterfit import (
     m_step,
 )
 
+from conftest import assert_built_as_checked
+
 
 def _exp_trace(n, rate=1.0, seed=0):
     spec = RegimeSpec(segments=((ModelParams.exponential(rate), n),), seed=seed)
@@ -275,6 +277,16 @@ def test_em_fit_is_scale_covariant(c):
 @given(u=st.floats(-6.0, 6.0))
 def test_em_fit_is_scale_covariant_over_drawn_factors(u):
     _assert_scale_covariant(10.0**u)
+
+
+@pytest.mark.parametrize("max_iters", [1, 50])
+def test_em_fit_results_hold_what_the_checked_constructors_make(reference_trace, max_iters):
+    result = em_fit(reference_trace, EMConfig(max_iters=max_iters))
+    assert result.converged == (max_iters > 1)
+    assert result.labels.dtype == np.int64 and not result.labels.flags.writeable
+    assert_built_as_checked(result)
+    for params in result.final_params:
+        assert_built_as_checked(params)
 
 
 def test_em_fit_two_regime_reference_regression(reference_trace):

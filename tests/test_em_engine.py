@@ -61,7 +61,7 @@ from jitterfit.em import (
     _gallop,
     _label_runs,
     _responsibilities,
-    _trace_labels,
+    _trace_results,
 )
 from jitterfit.distributions import _log_pdf_unchecked
 from jitterfit.errors import (
@@ -424,21 +424,32 @@ def _whole_trace_loglik(labels, samples, params):
     return float(densities.sum())
 
 
+def _labels_through_the_sort(runs, order):
+    """The labels of ``runs`` over the sorted samples ``samples[order]``, put
+    back in trace order through the sort permutation ``order``."""
+    labels = np.empty(order.size, dtype=np.int64)
+    labels[order] = np.repeat(
+        [model for _, _, model in runs], [stop - start for start, stop, _ in runs]
+    )
+    return labels
+
+
 def _assert_trace_order_results(samples):
-    """``_trace_labels`` puts each sample in the last run whose first value is
-    not above it, as a search of those values does, and ``_trace_loglik``,
-    which fills its densities a chunk at a time, sums to the whole-trace fill
-    bit for bit."""
+    """``_trace_results`` gives each sample the label of its place among the
+    sorted samples, frozen, and its log-likelihood, picked a chunk at a time
+    from both models' densities, sums to the whole-trace fill bit for bit.
+    Returns those labels and that sum."""
     fit = em._em_sorted(samples, EMConfig())
-    labels = _trace_labels(fit.runs, fit.s, samples)
-    models = np.array([model for _, _, model in fit.runs])
-    first_values = fit.s[[start for start, _, _ in fit.runs]]
-    searched = models[np.searchsorted(first_values, samples, side="right") - 1]
-    assert np.array_equal(labels, searched)
+    order = np.argsort(samples, kind="stable")
+    assert np.array_equal(fit.firsts, samples[order][[start for start, _, _ in fit.runs]])
+    want_labels = _labels_through_the_sort(fit.runs, order)
     with np.errstate(over="ignore"):
-        got = em._trace_loglik(labels, samples, fit.params)
-        want = _whole_trace_loglik(labels, samples, fit.params)
-    assert got == want
+        labels, loglik = _trace_results(fit, samples)
+        want = _whole_trace_loglik(want_labels, samples, fit.params)
+    assert np.array_equal(labels, want_labels)
+    assert labels.dtype == np.int64 and not labels.flags.writeable
+    assert loglik == want
+    return want_labels, want
 
 
 @pytest.mark.parametrize("n", [65535, 65536, 65537, 3 * 65536 + 7])
@@ -455,6 +466,27 @@ def test_trace_order_results_on_long_drawn_mixes(trace):
     _assert_trace_order_results(trace.samples)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_order_results_where_the_other_density_overflows(seed):
+    """On a trace from about 1e-300 to 1e300 the model that owns the small
+    samples scores the large ones past the largest double, an overflow to the
+    right -inf that em_fit silences; nothing else warns."""
+    rng = np.random.default_rng(seed)
+    samples = np.concatenate(
+        (1e-300 + rng.exponential(1e-300, 3000), rng.gamma(4.0, 1e299, 3000))
+    )
+    rng.shuffle(samples)
+    fit = em._em_sorted(samples, EMConfig())
+    with np.errstate(over="ignore"):
+        both = em._log_density_matrix(samples, np.log(samples), fit.params)
+    assert np.isneginf(both).any(axis=1).sum() >= 1000
+    assert np.isfinite(both.max(axis=1)).all()
+    want_labels, want = _assert_trace_order_results(samples)
+    result = em_fit(JitterTrace(samples))
+    assert np.array_equal(result.labels, want_labels)
+    assert result.classification_loglik == want
+
+
 # ------------------------------------------------------------- run labeller
 
 
@@ -462,12 +494,13 @@ def _engine_labels(samples, params):
     """Labels from the engine's labeller, in input order, with overflow
     silenced as the engine silences it."""
     samples = np.asarray(samples, dtype=np.float64)
-    s = np.sort(samples)
+    order = np.argsort(samples, kind="stable")
+    s = samples[order]
     with np.errstate(over="ignore"):
         runs = _label_runs(s, np.log(s), params, {})
     assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(runs, runs[1:]))
     assert runs[0][0] == 0 and runs[-1][1] == s.size
-    return _trace_labels(runs, s, samples)
+    return _labels_through_the_sort(runs, order)
 
 
 def _reference_labels(samples, params):

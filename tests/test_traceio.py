@@ -30,6 +30,8 @@ from jitterfit import (
 )
 from jitterfit import traceio
 
+from conftest import assert_built_as_checked
+
 
 # ---------------------------------------------------------------- ingestion
 
@@ -886,6 +888,8 @@ def test_ingest_and_generate_hand_over_frozen_arrays(tmp_path):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1
+    for made in (plain, shifted, labeled):
+        assert_built_as_checked(made)
 
 
 def test_labeled_trace_length_mismatch():
