@@ -188,20 +188,23 @@ def _parse_bytes(data: bytes, first: int, offset: bool) -> tuple[np.ndarray, int
     return _parse_lines(lines, first, offset), len(lines)
 
 
-# 10**m as a double-double (hi, lo): hi is 10**m rounded, lo the rest rounded,
-# so hi + lo is within about 2**-106 of 10**m relative.  Filled with each
-# decimal exponent the trace writer and the plain-line parser meet.
-_POW10: dict[int, tuple[float, float]] = {}
-
-
 def _pow10(m: int) -> tuple[float, float]:
-    if m not in _POW10:
-        # Python's int / int true division is correctly rounded.
-        num, den = (10**m, 1) if m >= 0 else (1, 10**-m)
-        hi = num / den
-        hi_num, hi_den = hi.as_integer_ratio()
-        _POW10[m] = (hi, (num * hi_den - hi_num * den) / (den * hi_den))
-    return _POW10[m]
+    """10**m as a double-double (hi, lo): hi is 10**m rounded, lo the rest
+    rounded, so hi + lo is within about 2**-106 of 10**m relative."""
+    # Python's int / int true division is correctly rounded.
+    num, den = (10**m, 1) if m >= 0 else (1, 10**-m)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+# Past these bounds the splitting in _dd_mul may overflow or lose bits.  The
+# parser scales by 10**e10, |e10| <= _E10_LIMIT, and the trace writer by
+# 10**(16 - k), |k| <= _K_LIMIT; row m + _E10_LIMIT holds _pow10(m).
+_E10_LIMIT = 290
+_K_LIMIT = 280
+_POW10 = np.array([_pow10(m) for m in range(-_E10_LIMIT, 17 + _K_LIMIT)])
+_POW10.setflags(write=False)
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for 53-bit doubles
@@ -252,8 +255,6 @@ _EXP_WEIGHTS = 10 ** np.arange(_EXP_DIGITS - 1, -1, -1, dtype=np.int64)
 # The double-double product is exact to about 2**-100 relative, far inside
 # this margin around a rounding midpoint.
 _MIDPOINT = 2.0**-95
-# Past these bounds the splitting in _dd_mul may overflow or lose bits.
-_E10_LIMIT = 290
 _PLAIN_RANGE = (1e-290, 1e290)
 
 
@@ -350,9 +351,7 @@ def _parse_plain(data: bytes) -> np.ndarray | None:
     e10[doubtful] = 0
     d_hi = digits.astype(np.float64)
     d_lo = (digits - d_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
-    e10_min = int(e10.min())
-    table = np.array([_pow10(m) for m in range(e10_min, int(e10.max()) + 1)])
-    scale = table.take(e10 - e10_min, axis=0)
+    scale = _POW10.take(e10 + _E10_LIMIT, axis=0)
     product, error = _dd_mul(d_hi, scale[:, 0], scale[:, 1])
     error += d_lo * scale[:, 0]
     values = product + error
@@ -424,8 +423,6 @@ def write_trace(trace: JitterTrace, path) -> None:
 
 # The product's absolute error is below about 2**-47, far inside this margin.
 _TIE = 2.0**-40
-# Past 1e300, splitting a sample or a power of ten overflows.
-_K_LIMIT = 280
 
 # A line is built in a row of 48 bytes; 0 bytes are padding, deleted before
 # the chunk is written.  Bytes 0-7 hold the "0." and zeros that lead the fixed
@@ -440,6 +437,16 @@ _PREFIXES = np.frombuffer(
 )
 
 
+def _put_digits(out: np.ndarray, values: np.ndarray) -> None:
+    """Write the last ``out.shape[-1]`` decimal digits of the integers
+    ``values >= 0`` into uint8 ``out`` as ASCII, most significant first."""
+    for j in range(out.shape[-1] - 1, -1, -1):
+        quotient = values // 10
+        np.subtract(values, quotient * 10, out=out[..., j], casting="unsafe")
+        values = quotient
+    out += ord("0")
+
+
 def _format_lines(x: np.ndarray) -> bytes:
     """``f"{v:.17g}\\n"`` for each positive finite ``v`` in ``x``, joined, as
     ASCII bytes."""
@@ -449,10 +456,8 @@ def _format_lines(x: np.ndarray) -> bytes:
     # A far sample is formatted by %; a stand-in keeps its arithmetic finite.
     k[far] = 0
     y = np.where(far, 1.0, x)
-    k_min = int(k.min())
-    table = np.array([_pow10(16 - j) for j in range(k_min, int(k.max()) + 1)])
-    index = k - k_min
-    p, err = _dd_mul(y, table[index, 0], table[index, 1])
+    scale = _POW10.take(16 - k + _E10_LIMIT, axis=0)
+    p, err = _dd_mul(y, scale[:, 0], scale[:, 1])
     whole = np.floor(p)
     rest = (p - whole) + err
     carry = np.floor(rest)
@@ -470,11 +475,7 @@ def _format_lines(x: np.ndarray) -> bytes:
     halves[:, 0] = high
     halves[:, 1] = digits - high * 10**9
     chars = np.empty((n, 2, 9), dtype=np.uint8)
-    for j in range(8, -1, -1):
-        quotient = halves // 10
-        chars[:, :, j] = halves - quotient * 10
-        halves = quotient
-    chars += ord("0")
+    _put_digits(chars, halves)
     cells = rows.view("<u2")  # cell 4 + j: digit j, then the byte after it
     cells[:, 3:21] = chars.reshape(n, 18)
 
@@ -554,10 +555,8 @@ def _write_indicators(labels: np.ndarray, fh) -> int:
         width = len(str(lo))
         hi = min(stop, 10**width, lo + _WRITE_LINES)
         rows = np.empty((hi - lo, width + 5), dtype=np.uint8)
-        index = np.arange(lo, hi, dtype=np.int64)
-        for col in range(width - 1, -1, -1):
-            rows[:, col] = index % 10 + ord("0")
-            index //= 10
+        # The narrowest unsigned type: its digit loop runs the fastest.
+        _put_digits(rows[:, :width], np.arange(lo, hi, dtype=np.min_scalar_type(hi)))
         rows[:, width:] = _ROW_TAILS[(labels[lo - 1 : hi - 1] != 0).astype(np.intp)]
         fh.write(rows.tobytes().decode())
         lo = hi
@@ -676,6 +675,10 @@ def _gamma_variates(rng, shape: float, scale: float, n: int) -> np.ndarray:
 
     Draws from the shape+1 distribution when shape < 1 and applies the
     standard U**(1/shape) boost afterwards.
+
+    A round accepts ``d * v``, ``v = (1 + c*x)**3``, where ``v > 0`` and
+    ``ln u < 0.5*x*x + d - d*v + d*ln v``.  Both are computed in place, in
+    that order of operations, so a round holds four draw-sized arrays.
     """
     core_shape = shape if shape >= 1.0 else shape + 1.0
     d = core_shape - 1.0 / 3.0
@@ -686,12 +689,27 @@ def _gamma_variates(rng, shape: float, scale: float, n: int) -> np.ndarray:
         k = n - filled
         x = rng.standard_normal(k)
         u = rng.random(k)
-        v = (1.0 + c * x) ** 3
+        v = c * x
+        v += 1.0
+        v **= 3
+        bound = 0.5 * x
+        bound *= x
+        bound += d
+        # x is spent: it takes d*v, then d*ln v.
+        np.multiply(d, v, out=x)
+        bound -= x
         with np.errstate(divide="ignore", invalid="ignore"):
-            accept = (v > 0.0) & (
-                np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v)
-            )
-        kept = d * v[accept]
+            np.log(v, out=x)
+            x *= d
+            bound += x
+            np.log(u, out=u)
+        accept = u < bound
+        accept &= v > 0.0
+        # Only v and the mask outlive the test, so the kept draws add no
+        # fifth array to the round's four.
+        del x, u, bound
+        kept = v[accept]
+        kept *= d
         out[filled : filled + kept.size] = kept
         filled += kept.size
     if shape < 1.0:

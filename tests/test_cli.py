@@ -371,11 +371,11 @@ def test_fit_peak_memory_is_bounded(tmp_path):
 
 def test_gen_peak_memory_is_bounded(tmp_path, capsys):
     # A 1M-sample gen builds its samples and labels once each and writes
-    # both files a chunk at a time.  The gamma sampler's temporaries for
-    # its 500k draws set the peak, near 28 MiB.
+    # both files a chunk at a time.  The gamma sampler's four arrays for
+    # its 500k draws set the peak, near 21 MiB.
     segments = "gamma:a=2:b=0.5:500000,exp:mu=2:500000"
     argv = ["gen", str(tmp_path / "trace.txt"), "--segments", segments, "--seed", "3"]
-    assert _peak_bytes(argv) <= 30 * 2**20
+    assert _peak_bytes(argv) <= 23 * 2**20
 
 
 def test_offset_flag_allows_nonpositive_traces(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trace file handling and the seeded synthetic generator."""
 
+import hashlib
 import io
 import math
 import re
@@ -394,6 +395,47 @@ def test_plain_reader_takes_exponents_of_one_to_four_digits():
     _assert_plain_reads_as_float(lines)
 
 
+def _lines_at_the_table_ends() -> list[str]:
+    """Plain decimals ``D * 10**e10`` with ``e10`` = -290 or +290, the first
+    and the last power of ten the reader takes from the shared table.  A
+    value above 1e290 goes to float() on its own, so at +290 only the
+    spellings of 1e290 itself are converted in numpy."""
+    rng = np.random.default_rng(290)
+    lines = [f"{d}e-290" for d in rng.integers(1, 10**18, 300).tolist()]
+    lines += [f"{d // 10**6}.{d % 10**6:06d}e-284" for d in rng.integers(1, 10**18, 300).tolist()]
+    return lines + ["1e290", "0.1e291", "0.0001e294", "001e290", "1e-290"]
+
+
+def test_plain_reader_matches_float_at_both_ends_of_the_power_table(tmp_path, monkeypatch):
+    # ndarray.take wraps a negative row without an error, so a table one row
+    # short at its low end would scale by its last row.  The value would then
+    # fall outside [1e-290, 1e290] and go to float() on its own, which hides
+    # the fault; so here no line may take that route.
+    def fallback(text):
+        raise AssertionError(f"{text!r} went to float()")
+
+    monkeypatch.setattr(traceio, "float", fallback, raising=False)
+    lines = _lines_at_the_table_ends()
+    _assert_plain_reads_as_float(lines)
+    path = tmp_path / "trace.txt"
+    path.write_text("\n".join(lines) + "\n")
+    expected = np.array([float(line) for line in lines])
+    assert ingest_trace(path).samples.tobytes() == expected.tobytes()
+
+
+def test_power_table_rows_are_the_correctly_rounded_double_doubles():
+    # Row m + _E10_LIMIT holds 10**m rounded and the rest rounded, for every
+    # power the reader (|m| <= 290) and the trace writer (16 - k for
+    # |k| <= 280) take.
+    table = traceio._POW10
+    powers = range(-traceio._E10_LIMIT, 17 + traceio._K_LIMIT)
+    assert table.shape == (len(powers), 2) == (587, 2)
+    for row, m in zip(table.tolist(), powers):
+        exact = Fraction(10) ** m
+        hi = float(exact)
+        assert row == [hi, float(exact - Fraction(hi))], m
+
+
 @pytest.mark.parametrize(
     "lines",
     [
@@ -589,6 +631,18 @@ def test_write_trace_matches_per_sample_format_on_hard_values(tmp_path, values):
     assert path.read_bytes() == _expected_trace_bytes(samples)
 
 
+@pytest.mark.parametrize("k", [-280, 280])
+def test_write_trace_matches_per_sample_format_at_both_ends_of_the_power_table(tmp_path, k):
+    # Samples in [10**k, 10**(k + 1)) are scaled by 10**(16 - k): at k = -280
+    # by the last row of the shared table, at k = 280 by the first row the
+    # writer takes.
+    samples = 10.0 ** (k + np.random.default_rng(k + 1000).uniform(0.0, 1.0, 2000))
+    assert (np.floor(np.log10(samples)) == k).mean() > 0.99
+    path = tmp_path / "out.txt"
+    write_trace(JitterTrace(samples), path)
+    assert path.read_bytes() == _expected_trace_bytes(samples)
+
+
 @pytest.mark.parametrize("toward", [-np.inf, np.inf], ids=["low", "high"])
 def test_write_trace_is_exact_when_log10_is_one_ulp_off(tmp_path, monkeypatch, toward):
     # The writer takes each sample's decimal exponent from np.log10, which
@@ -633,6 +687,27 @@ def test_write_labels_matches_per_label_format(tmp_path, labels):
 
 
 # ----------------------------------------------------------- indicator CSV
+
+
+_DIGIT_EDGES = [0, 9, 10, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 10**19, 2**64 - 1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_digit_loop_matches_str_at_the_edges_of_each_unsigned_type(dtype):
+    # The indicator writer gives its row indexes the narrowest unsigned type.
+    # No indicator file reaches an index of 2**32, so uint64 is checked here.
+    edges = [v for v in _DIGIT_EDGES if v <= np.iinfo(dtype).max]
+    values = np.array(edges, dtype=dtype)
+    for width in range(1, 21):
+        expected = [str(v).zfill(width)[-width:] for v in edges]
+        out = np.empty((values.size, width), dtype=np.uint8)
+        traceio._put_digits(out, values)
+        assert [row.tobytes().decode() for row in out] == expected
+        # Along the last axis of a strided view, as the writers call it.
+        wide = np.zeros((1, values.size, width + 3), dtype=np.uint8)
+        traceio._put_digits(wide[:, :, :width], values[None, :])
+        assert [row[:width].tobytes().decode() for row in wide[0]] == expected
+        assert not wide[:, :, width:].any()
 
 
 class _Labels:
@@ -779,6 +854,38 @@ def test_generate_gamma_small_shape():
     samples = generate_synthetic(spec).trace.samples
     assert samples.min() > 0.0
     assert stats.kstest(samples, "gamma", args=(0.5, 0, 2)).pvalue > 0.01
+
+
+@pytest.mark.parametrize(
+    "shape, scale, seed, digest",
+    [
+        (0.5, 2.0, 11, "630a18fde9c590bf9132301acb36a847db5b3cbc23850795145b877935744acb"),
+        (1.0, 0.5, 12, "5943fab99cbbb30fd14e20e74a0b99c1d553593a67ecca66e0aba24b5514efe6"),
+        (4.0, 0.25, 13, "9419085ddc6d8321496d9e7967fae79800e20f6230bd1fa6f0bcd3263dab74ec"),
+    ],
+    ids=["boost", "shape-1", "shape-4"],
+)
+def test_generate_gamma_draws_match_their_recorded_digest(shape, scale, seed, digest):
+    # The sampler's draws, bit for bit, on each branch: shape 0.5 runs the
+    # U**(1/shape) boost.  Like the golden gen digest, these were recorded
+    # with numpy's AVX-512 kernels for log and power.
+    spec = RegimeSpec(segments=((ModelParams.gamma(shape, scale), 20000),), seed=seed)
+    samples = generate_synthetic(spec).trace.samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+
+def test_gamma_sampler_peak_memory_is_bounded():
+    # A round holds four draw-sized arrays, its normals, its uniforms, the
+    # cube and the squeeze bound: 15.3 MiB for 500k draws.  With the 3.8 MiB
+    # result and two masks the peak measured 20.0 MiB.
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        traceio._gamma_variates(rng, 2.0, 0.5, 500_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2**20
 
 
 def test_generate_redraws_draws_that_underflow_to_zero(monkeypatch):
