@@ -170,63 +170,77 @@ def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     return out
 
 
-def _fit_sorted(kind: ModelKind, s: np.ndarray, logs) -> ModelParams:
-    """The MLE of ``kind`` on finite positive samples ``s`` in ascending
-    order, with ``logs = ln s`` for a gamma fit (unused for an exponential
-    one).
+def _sorted_rows(samples: np.ndarray) -> np.ndarray:
+    """``[s; ln s]``: the finite positive ``samples`` in ascending order and
+    their logs, the two rows of one array, filled in place."""
+    rows = np.empty((2, samples.size))
+    rows[0] = samples
+    rows[0].sort()
+    np.log(rows[0], out=rows[1])
+    return rows
 
-    Each mean is the sum over the samples in that order divided by their
-    count, so every caller that holds the same samples gets the same bits.
-    A sum past the largest double, or a rate or scale that leaves the
-    finite positive doubles, raises :class:`DegenerateDataError`; callers
-    silence numpy's overflow warning for the sum.  Constant samples have no
-    gamma fit, and raise the error of a log-moment gap of 0.0 whatever
-    rounding makes of their means.  The result is checked here, so it is
-    built without :class:`ModelParams`' validation.
-    """
+
+def _sample_mean(kind: ModelKind, count: int, total: float) -> float:
+    """The mean of ``count`` samples that sum to ``total``, checked for a
+    ``kind`` fit: the family's minimum count, then a finite sum."""
     minimum = MIN_SUBSET_SIZE[kind]
-    if s.size < minimum:
+    if count < minimum:
         raise InsufficientDataError(
-            f"{kind.name.lower()} fit needs at least {minimum} sample(s), got {s.size}"
+            f"{kind.name.lower()} fit needs at least {minimum} sample(s), got {count}"
         )
-    # np.add.reduce is the reduction s.sum() runs, without the Python-level
-    # wrapper around it: the same pairwise sum, bit for bit.
-    total = float(np.add.reduce(s))
     if not math.isfinite(total):
         raise DegenerateDataError(
             "samples sum past the largest double; rescale the trace to fit it"
         )
-    # Not s.mean(): the same value, without its per-call overhead.
-    mean = total / s.size
-    if kind is ModelKind.EXPONENTIAL:
-        rate = 1.0 / mean
-        if not math.isfinite(rate):
-            raise DegenerateDataError(
-                f"exponential rate 1/mean = {rate!r} is not a finite double; "
-                "rescale the trace to fit it"
-            )
-        return _unchecked(ModelParams, kind=kind, rate=rate, shape=None, scale=None)
-    # Constant samples have a log-moment gap of exactly 0, which the two
-    # rounded means can miss by a few ulps either way.
-    constant = s.item(0) == s.item(-1)
-    gap = 0.0 if constant else math.log(mean) - float(np.add.reduce(logs)) / s.size
+    return total / count
+
+
+def _fit_exponential(s: np.ndarray) -> ModelParams:
+    """The exponential MLE on finite positive samples ``s`` in ascending order.
+
+    Each fit's mean is the np.add.reduce (the pairwise sum of ``s.sum()``,
+    without its wrapper) of the samples in that order over their count, so
+    callers that hold the same samples get the same bits.  A sum past the
+    largest double, or a rate or scale outside the finite positive doubles,
+    raises :class:`DegenerateDataError`; callers silence numpy's overflow
+    warning.  Results are checked here, so they skip :class:`ModelParams`'
+    validation.
+    """
+    rate = 1.0 / _sample_mean(ModelKind.EXPONENTIAL, s.size, float(np.add.reduce(s)))
+    if not math.isfinite(rate):
+        raise DegenerateDataError(
+            f"exponential rate 1/mean = {rate!r} is not a finite double; "
+            "rescale the trace to fit it"
+        )
+    return _unchecked(ModelParams, kind=ModelKind.EXPONENTIAL, rate=rate, shape=None, scale=None)
+
+
+def _fit_gamma(rows: np.ndarray) -> ModelParams:
+    """The gamma MLE on ``rows = [s; ln s]``, finite positive samples in
+    ascending order and their logs, as :func:`_fit_exponential` sums them:
+    one reduction along the rows gives each row's sum the bits of its own.
+    Constant samples have no gamma fit, and raise the error of a log-moment
+    gap of 0.0 whatever rounding makes of their means."""
+    count = rows.shape[1]
+    total, log_total = np.add.reduce(rows, axis=1).tolist()
+    mean = _sample_mean(ModelKind.GAMMA, count, total)
+    constant = rows.item(0, 0) == rows.item(0, count - 1)
+    gap = 0.0 if constant else math.log(mean) - log_total / count
     return _gamma_from_log_moments(mean, gap)
 
 
-def _mle(kind: ModelKind, samples) -> ModelParams:
-    """:func:`_fit_sorted` on the sorted ``samples``, a 1-d array of finite
-    positive values."""
-    what = f"{kind.name.lower()} fit"
+def _checked_samples(samples, what: str) -> np.ndarray:
+    """``samples`` as a float64 array, which must be 1-d and hold finite
+    positive values for the ``what`` to fit."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
         raise ParameterDomainError(f"{what} expects a 1-d array of samples")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ParameterDomainError(f"{what} requires finite positive samples")
-    s = np.sort(arr)
-    with np.errstate(over="ignore"):
-        return _fit_sorted(kind, s, np.log(s) if kind is ModelKind.GAMMA else None)
+    return arr
 
 
+@np.errstate(over="ignore")
 def mle_exponential(samples) -> ModelParams:
     """Maximum-likelihood exponential fit: rate = 1 / sample mean.
 
@@ -235,9 +249,10 @@ def mle_exponential(samples) -> ModelParams:
     largest double, or whose mean is so small that its reciprocal
     overflows, raise :class:`DegenerateDataError`.
     """
-    return _mle(ModelKind.EXPONENTIAL, samples)
+    return _fit_exponential(np.sort(_checked_samples(samples, "exponential fit")))
 
 
+@np.errstate(over="ignore")
 def mle_gamma(samples) -> ModelParams:
     """Maximum-likelihood gamma fit via Newton iteration on the shape.
 
@@ -263,7 +278,7 @@ def mle_gamma(samples) -> ModelParams:
         If 100 Newton steps do not settle the shape; the exception carries
         the last shape iterate.
     """
-    return _mle(ModelKind.GAMMA, samples)
+    return _fit_gamma(_sorted_rows(_checked_samples(samples, "gamma fit")))
 
 
 def _gamma_from_log_moments(mean: float, s: float) -> ModelParams:

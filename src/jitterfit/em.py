@@ -9,19 +9,23 @@ how the two densities compare at that one value: it is the sign of the
 log-density difference ``d(v) = (a-1) ln v + (rate - 1/b) v + c`` of the
 gamma(a, b) model over the exponential one.  ``d'`` changes sign at most
 once, so over the sorted samples the labels form at most three contiguous
-runs.  :func:`em_fit` sorts each trace once and works on those runs: it
-finds the flips of ``d`` by galloping from where they were on the previous
-pass (from the start of each monotone piece on the first pass), refits each
-model on its runs, and stops when the run boundaries repeat.  Samples too
+runs.  :func:`em_fit` sorts each trace once, into the first row of one
+array whose second row holds the logs, ``[s; ln s]``, and works on those
+runs.  It finds the flips of ``d`` by galloping from where they were on the
+previous pass (from the start of each monotone piece on the first pass),
+evaluating ``d`` inline at each probe.  It refits the exponential on its
+runs of the first row and the gamma on its runs of both rows, summed by one
+reduction along the rows, and stops when the run boundaries repeat.  Samples too
 close to a flip for the sign of ``d`` to be trusted under rounding are
 labelled by the reference predicate instead: the normalized densities of
 :func:`e_step` fed to :func:`hard_assign`, where the exponential is model 0
 and takes ties.  So the fit's labels always equal
 ``hard_assign(e_step(trace, params))``.
-Every maximum-likelihood fit sums its samples in ascending order, and a
-model's runs, end to end, are its samples in that order, so each refit
-equals :func:`m_step`'s by construction: both hand their subsets to one
-refit rule, which fits each model or keeps its parameters and says why.
+Every maximum-likelihood fit sums its samples in ascending order, a sum
+along the rows gives each row the bits of its own sum, and a model's runs,
+end to end, are its samples in that order, so each refit equals
+:func:`m_step`'s by construction: both hand their subsets to one refit
+rule, which fits the model or keeps its parameters and says why.
 :func:`e_step` and :func:`m_step` remain as the reference functions;
 :func:`em_fit` calls neither.
 
@@ -39,14 +43,21 @@ parameters.  Scoring a pass is an O(n) sum of log-densities, so the CLI's
 ``fit``, whose outputs hold no history, asks for none.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ModelKind, ModelParams, _fit_sorted, _log_pdf_unchecked, _unchecked
+from .distributions import (
+    ModelKind,
+    ModelParams,
+    _fit_exponential,
+    _fit_gamma,
+    _log_pdf_unchecked,
+    _sorted_rows,
+    _unchecked,
+)
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -166,71 +177,69 @@ def hard_assign(responsibilities: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(responsibilities), axis=1)
 
 
-def _refit(prev_params, subsets) -> tuple[list[ModelParams], list[str]]:
-    """Refit each model on its subset ``(s, logs)`` (``s`` ascending, with
-    ``logs = ln s`` for a gamma model) with :func:`_fit_sorted`, or keep its
-    parameters and note why: the one refit rule of :func:`m_step` and the
-    engine."""
-    updated: list[ModelParams] = []
-    notes: list[str] = []
-    for index, (prev, (s, logs)) in enumerate(zip(prev_params, subsets)):
-        try:
-            updated.append(_fit_sorted(prev.kind, s, logs))
-            continue
-        except InsufficientDataError:
-            why = f"subset of {s.size} sample(s) too small to refit"
-        except (DegenerateDataError, NonConvergenceError) as exc:
-            why = f"refit failed ({exc})"
-        updated.append(prev)
-        notes.append(f"model {index} ({prev.kind.name.lower()}): {why}, parameters kept")
-    return updated, notes
+def _refit(fit, subset: np.ndarray, index: int, prev: ModelParams, notes: list) -> ModelParams:
+    """``fit(subset)``, the refit of model ``index`` on its samples, or, when
+    that fails, ``prev`` with a note in ``notes`` that says why: the one
+    refit rule of :func:`m_step` and the engine."""
+    try:
+        return fit(subset)
+    except InsufficientDataError:
+        why = f"subset of {subset.shape[-1]} sample(s) too small to refit"
+    except (DegenerateDataError, NonConvergenceError) as exc:
+        why = f"refit failed ({exc})"
+    notes.append(f"model {index} ({prev.kind.name.lower()}): {why}, parameters kept")
+    return prev
 
 
 @np.errstate(over="ignore")
 def m_step(trace: JitterTrace, labels, prev_params) -> tuple[list[ModelParams], list[str]]:
-    """Refit every model on its assigned subset.
+    """Refit every model on its assigned subset: ``prev_params`` are the
+    exponential model and then the gamma one, as in :class:`EMConfig`.
 
-    Each model refits on the sorted subset by the engine's refit rule,
+    Each model refits on its sorted subset by the engine's refit rule,
     without re-validating trace samples, so each fit is the MLE of its
     family on that subset.  A model whose subset is too small, or whose fit
     degenerates, keeps its previous parameters; each such freeze is
     reported in the notes list.
     """
     labels = np.asarray(labels)
-    subsets = []
-    for index, prev in enumerate(prev_params):
-        s = np.sort(trace.samples[labels == index])
-        subsets.append((s, np.log(s) if prev.kind is ModelKind.GAMMA else None))
-    return _refit(prev_params, subsets)
+    notes: list[str] = []
+    return [
+        _refit(_fit_exponential, np.sort(trace.samples[labels == 0]), 0, prev_params[0], notes),
+        _refit(_fit_gamma, _sorted_rows(trace.samples[labels == 1]), 1, prev_params[1], notes),
+    ], notes
 
 
-def _gallop(key, x, guess: int, lo: int, hi: int) -> int:
-    """``bisect.bisect_left(range(hi), x, lo, hi, key=key)``, searched
-    outward from ``guess``.
+def _edge(s: np.ndarray, logs: np.ndarray, sA, sB, sC, x, guess: int, lo: int, hi: int) -> int:
+    """``bisect.bisect_left(range(hi), x, lo, hi, key=key)`` for the key
+    ``sA * logs[i] + sB * s[i] + sC``, evaluated inline in that order,
+    searched outward from ``guess``.
 
-    Probes 1, 2, 4, ... places away from ``guess`` (clamped into [lo, hi])
-    bracket the answer in [first, last], then the bisection finishes inside
-    the bracket.  Each probe makes the bisection's own comparison, so on a
+    Probes 1, 2, 4, ... places on from the last one gallop away from
+    ``guess`` (or the middle, when it lies outside [lo, hi)) until the key
+    crosses ``x``; the next step leaves the bracket, so the search bisects
+    it from there.  Each probe makes the bisection's own comparison, so on a
     key that is below ``x`` on a prefix of [lo, hi) the result is the plain
     bisection's wherever the search starts.
     """
-    guess = min(max(guess, lo), hi)
     step = 1
-    if guess < hi and key(guess) < x:
-        first = guess + 1
-        while guess + step < hi and key(guess + step) < x:
-            first = guess + step + 1
-            step *= 2
-        last = min(guess + step, hi)
-    else:
-        last = guess
-        while guess - step >= lo and not key(guess - step) < x:
-            last = guess - step
-            step *= 2
-        first = max(guess - step + 1, lo)
-    if first == last:
-        return first
-    return bisect.bisect_left(range(hi), x, first, last, key=key)
+    while lo < hi:
+        i = guess if lo <= guess < hi else (lo + hi) // 2
+        if sA * logs.item(i) + sB * s.item(i) + sC < x:
+            lo, guess = i + 1, i + step
+        else:
+            hi, guess = i, i - step
+        step *= 2
+    return lo
+
+
+def _band(s: np.ndarray, logs: np.ndarray, params, start: int, stop: int) -> list:
+    """The reference predicate's runs over the non-empty ``s[start:stop]``."""
+    labels = hard_assign(
+        _responsibilities(_log_density_matrix(s[start:stop], logs[start:stop], params))
+    )
+    edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+    return [(start + lo, start + hi, int(labels[lo])) for lo, hi in zip(edges, edges[1:])]
 
 
 def _label_runs(
@@ -274,30 +283,12 @@ def _label_runs(
         + abs(log_rate)
         + 1.0
     )
-    runs: list[tuple[int, int, int]] = []
-
-    def emit(start: int, stop: int, model: int) -> None:
-        if start >= stop:
-            return
-        if runs and runs[-1][2] == model:
-            runs[-1] = (runs[-1][0], stop, model)
-        else:
-            runs.append((start, stop, model))
-
-    def band(start: int, stop: int) -> None:
-        if start >= stop:
-            return
-        labels = hard_assign(
-            _responsibilities(_log_density_matrix(s[start:stop], logs[start:stop], params))
-        )
-        edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
-        for lo, hi in zip(edges, edges[1:]):
-            emit(start + lo, start + hi, int(labels[lo]))
-
     if not math.isfinite(T):
-        band(0, n)
-        return tuple(runs)
-
+        return tuple(_band(s, logs, params, 0, n))
+    # d is finite wherever T is, so it lies above T exactly when it is not
+    # below the next double: the edge bisect_right finds at T.
+    above = math.nextafter(T, math.inf)
+    pieces = []
     split = int(s.searchsorted(-A / B)) if A * B < 0.0 else n
     for side, (start, stop, slope) in enumerate(((0, split, A or B), (split, n, B))):
         if start >= stop:
@@ -309,20 +300,21 @@ def _label_runs(
         # coefficients give sign * d bit for bit.
         sign = 1.0 if slope >= 0.0 else -1.0
         sA, sB, sC = sign * A, sign * B, sign * C
-
-        def rising(i: int) -> float:
-            return sA * logs.item(i) + sB * s.item(i) + sC
-
         piece = (side, sign)
         last, before = lows.get(piece, (start, start))
-        low = _gallop(rising, -T, 2 * last - before, start, stop)
-        # d is finite wherever T is, so it lies above T exactly when it is
-        # not below the next double: the edge bisect_right finds at T.
-        high = _gallop(rising, math.nextafter(T, math.inf), low, low, stop)
+        low = _edge(s, logs, sA, sB, sC, -T, 2 * last - before, start, stop)
+        high = _edge(s, logs, sA, sB, sC, above, low, low, stop)
         lows[piece] = (low, last)
-        emit(start, low, int(sign < 0.0))
-        band(low, high)
-        emit(high, stop, int(sign > 0.0))
+        pieces.append((start, low, int(sign < 0.0)))
+        if low < high:
+            pieces.extend(_band(s, logs, params, low, high))
+        pieces.append((high, stop, int(sign > 0.0)))
+    runs: list[tuple[int, int, int]] = []
+    for start, stop, model in pieces:
+        if start < stop:
+            if runs and runs[-1][2] == model:
+                start = runs.pop()[0]
+            runs.append((start, stop, model))
     return tuple(runs)
 
 
@@ -334,29 +326,6 @@ def _run_loglik(runs, s: np.ndarray, logs: np.ndarray, params) -> float:
         densities = _log_pdf_unchecked(params[model], s[start:stop], logs[start:stop])
         loglik += float(densities.sum())
     return loglik
-
-
-def _end_to_end(values: np.ndarray, own: list[slice]) -> np.ndarray:
-    """``values`` over the slices ``own``, end to end: a view when there is
-    one, an empty slice when there are none."""
-    if len(own) > 1:
-        return np.concatenate([values[k] for k in own])
-    return values[own[0] if own else slice(0, 0)]
-
-
-def _m_step_runs(runs, s: np.ndarray, logs: np.ndarray, prev_params):
-    """:func:`m_step` on the sorted samples ``s`` (``logs = ln s``) labelled
-    by ``runs``.
-
-    A model's subset in ascending order is its runs end to end, so
-    :func:`_refit` makes bit for bit the refits :func:`m_step` makes.
-    """
-    subsets = []
-    for index, prev in enumerate(prev_params):
-        own = [slice(start, stop) for start, stop, model in runs if model == index]
-        own_logs = _end_to_end(logs, own) if prev.kind is ModelKind.GAMMA else None
-        subsets.append((_end_to_end(s, own), own_logs))
-    return _refit(prev_params, subsets)
 
 
 class _EngineResult(NamedTuple):
@@ -374,25 +343,26 @@ class _EngineResult(NamedTuple):
 
 # Overflow is expected inside a fit: far-tail log-densities overflow to the
 # right -inf (see _log_pdf_unchecked), and a sample sum that overflows is a
-# DegenerateDataError (see _fit_sorted).  The engine silences it itself, as
-# the scan calls it directly; em_fit does too, for its final log-likelihood.
+# DegenerateDataError (see _fit_exponential).  The engine silences it
+# itself, as the scan calls it directly; em_fit does too, for its final
+# log-likelihood.
 @np.errstate(over="ignore")
 def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _EngineResult:
     """The hard-EM loop of :func:`em_fit` over validated ``samples``.
 
-    Sorts the samples once, fits the initial models on all of them, then
-    labels, compares run boundaries and refits until the runs repeat or the
-    budget runs out.  One dict carries each piece's band edges from a pass's
-    labelling to the next.  ``on_labelled(runs, s, logs,
-    params)``, when given, is called on every pass that goes on to a refit,
-    with the parameters that labelled it.
+    Sorts the samples once, into the rows ``[s; ln s]`` of one array, fits
+    the initial models on all of them, then labels, compares run boundaries
+    and refits until the runs repeat or the budget runs out.  One dict
+    carries each piece's band edges from a pass's labelling to the next.
+    ``on_labelled(runs, s, logs, params)``, when given, is called on every
+    pass that goes on to a refit, with the parameters that labelled it.
     """
-    s = np.sort(samples)
-    logs = np.log(s)
+    rows = _sorted_rows(samples)
+    s, logs = rows
     params: list[ModelParams] = []
-    for kind in ModelKind:
+    for kind, fit, subset in zip(ModelKind, (_fit_exponential, _fit_gamma), (s, rows)):
         try:
-            params.append(_fit_sorted(kind, s, logs))
+            params.append(fit(subset))
         except (InsufficientDataError, DegenerateDataError, NonConvergenceError) as exc:
             raise SetupError(
                 f"initial fit failed for model {kind.value} ({kind.name.lower()}): {exc}"
@@ -407,7 +377,20 @@ def _em_sorted(samples: np.ndarray, config: EMConfig, on_labelled=None) -> _Engi
             break
         if on_labelled is not None:
             on_labelled(runs, s, logs, params)
-        params, notes = _m_step_runs(runs, s, logs, params)
+        # Each model's samples in ascending order are its runs end to end:
+        # the exponential's from row 0, the gamma's from both rows.
+        exponential, gamma = own = ([], [])
+        for start, stop, model in runs:
+            own[model].append(rows[:, start:stop] if model else s[start:stop])
+        if len(exponential) != 1:
+            exponential = [np.concatenate(exponential or [s[:0]])]
+        if len(gamma) != 1:
+            gamma = [np.concatenate(gamma or [rows[:, :0]], axis=1)]
+        notes: list[str] = []
+        params = [
+            _refit(_fit_exponential, exponential[0], 0, params[0], notes),
+            _refit(_fit_gamma, gamma[0], 1, params[1], notes),
+        ]
         warnings.extend(f"iteration {iteration}: {note}" for note in notes)
         prev_runs = runs
     firsts = s.take([start for start, _, _ in runs])

@@ -23,8 +23,8 @@ counts the samples both models score at zero density.  The galloping
 labeller must return its runs whatever edges it is handed, and on every
 pass of the drawn-mix fits, where the oracle must count no such sample.
 Runs hide an edge found one place too far out, as the reference predicate
-labels that sample as the sign would, so ``_gallop`` is also checked on its
-own against ``bisect.bisect_left``.
+labels that sample as the sign would, so the edge search ``_edge`` is also
+checked on its own against ``bisect.bisect_left``.
 
 The engine reports no zero-density samples, because a fit cannot make one:
 the oracles keep their warning, and the extreme-spread fuzz holds the
@@ -58,12 +58,12 @@ from jitterfit import (
 )
 from jitterfit import em
 from jitterfit.em import (
-    _gallop,
+    _edge,
     _label_runs,
     _responsibilities,
     _trace_results,
 )
-from jitterfit.distributions import _log_pdf_unchecked
+from jitterfit.distributions import _log_pdf_unchecked, _sorted_rows
 from jitterfit.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -409,6 +409,42 @@ def test_em_fit_labels_follow_permuted_samples(seed):
     _assert_same_outcome(got, want, perm, f"seed {seed}")
 
 
+# ------------------------------------------------------------ stacked sums
+
+
+# Any length the engine meets in a scan window, and the lengths where
+# numpy's pairwise sum changes how it splits a row: its 8-way unrolled
+# blocks and its 128-element leaves.
+_RUN_LENGTHS = st.one_of(
+    st.sampled_from([7, 8, 9, 127, 128, 129, 3500]), st.integers(0, 5000)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lengths=st.tuples(_RUN_LENGTHS, _RUN_LENGTHS),
+    offset=st.integers(0, 5000),
+    gap=st.integers(0, 50),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_sum_along_the_rows_has_each_rows_own_bits(lengths, offset, gap, seed):
+    """The gamma refit sums ``[s; ln s]`` along the rows in one reduction,
+    over one run or two runs end to end.  Each row's sum must be that row's
+    own 1-d pairwise sum, bit for bit: the sum the fits document, and the
+    one the pinned digests were recorded with."""
+    first, second = lengths
+    total = offset + first + gap + second
+    rows = _sorted_rows(np.exp(np.random.default_rng(seed).normal(0.0, 3.0, total)))
+    one = slice(offset, offset + first)
+    two = slice(offset + first + gap, total)
+    got = np.add.reduce(rows[:, one], axis=1)
+    assert got.tolist() == [np.add.reduce(row[one]) for row in rows]
+    joined = np.concatenate([rows[:, one], rows[:, two]], axis=1)
+    got = np.add.reduce(joined, axis=1)
+    want = [np.add.reduce(np.concatenate([row[one], row[two]])) for row in rows]
+    assert got.tolist() == want
+
+
 # ------------------------------------------------------ trace-order results
 
 
@@ -701,7 +737,8 @@ def test_gallop_finds_the_bisection_edge_from_any_guess(keys, x, data):
     hi = data.draw(st.integers(lo, n))
     guess = data.draw(st.integers(-n - 5, 2 * n + 5))
     want = bisect.bisect_left(range(hi), x, lo, hi, key=keys.__getitem__)
-    assert _gallop(keys.__getitem__, x, guess, lo, hi) == want
+    # The keys stand in for the logs, and 1 * key + 0 * 0.0 + 0 is the key.
+    assert _edge(np.zeros(n), np.array(keys, dtype=np.int64), 1, 0, 0, x, guess, lo, hi) == want
 
 
 _PIECES = [(side, sign) for side in (0, 1) for sign in (1.0, -1.0)]
