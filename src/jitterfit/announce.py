@@ -136,12 +136,14 @@ def encode(announcement: RegimeAnnouncement) -> bytes:
 def decode(data: bytes) -> RegimeAnnouncement:
     """Parse and validate an announcement record.
 
-    Raises :class:`WireFormatError` for anything malformed: a buffer shorter
-    than the header or of another length than its parameter count implies,
-    and, from :class:`RegimeAnnouncement`, an unknown version or model id, a
-    parameter count that does not match the model, non-positive or
-    non-finite parameters, or a zero window length.
+    Raises :class:`WireFormatError` for anything malformed: data that is not
+    bytes-like, a buffer shorter than the header or of another length than
+    its parameter count implies, and, from :class:`RegimeAnnouncement`, an
+    unknown version or model id, a parameter count that does not match the
+    model, non-positive or non-finite parameters, or a zero window length.
     """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise WireFormatError(f"a record must be bytes, got {type(data).__name__}")
     buf = bytes(data)
     if len(buf) < 3:
         raise WireFormatError(

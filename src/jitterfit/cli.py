@@ -51,35 +51,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser(
+    _trace_command(
+        sub,
         "fit",
+        _cmd_fit,
+        "--indicator-out",
+        "also write the per-sample indicator CSV (index,z1,z2) here",
         help="fit the candidate models to one trace",
         description="Run EM over a whole trace and print a JSON summary.",
-        epilog=_EPILOG,
     )
-    _add_trace_args(fit)
-    fit.add_argument(
-        "--indicator-out",
-        metavar="PATH",
-        help="also write the per-sample indicator CSV (index,z1,z2) here",
-    )
-    fit.add_argument(
-        "--summary-out",
-        metavar="PATH",
-        help="write the JSON summary here instead of stdout",
-    )
-    fit.set_defaults(func=_cmd_fit)
-
-    scan = sub.add_parser(
+    scan = _trace_command(
+        sub,
         "scan",
+        _cmd_scan,
+        "--windows-out",
+        "write the per-window CSV (start,end,dominant,fraction_model0,"
+        "converged) here",
         help="classify sliding windows and report regime changes",
         description=(
             "Slide a window across the trace, classify each placement "
             "independently, and report where the dominant model flips."
         ),
-        epilog=_EPILOG,
     )
-    _add_trace_args(scan)
     scan.add_argument(
         "--window",
         type=int,
@@ -96,18 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="samples between window starts (default: the window size, "
         "giving non-overlapping windows)",
     )
-    scan.add_argument(
-        "--windows-out",
-        metavar="PATH",
-        help="write the per-window CSV (start,end,dominant,fraction_model0,"
-        "converged) here",
-    )
-    scan.add_argument(
-        "--summary-out",
-        metavar="PATH",
-        help="write the JSON summary here instead of stdout",
-    )
-    scan.set_defaults(func=_cmd_scan)
 
     gen = sub.add_parser(
         "gen",
@@ -137,8 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.set_defaults(func=_cmd_gen)
 
-    enc = sub.add_parser(
+    _announce_command(
+        sub,
         "announce-encode",
+        _cmd_announce_encode,
+        "JSON file to read, or '-' for stdin (default)",
+        "write the hex record here instead of stdout",
         help="encode an announcement record from JSON to hex",
         description=(
             "Read a JSON object with keys model, params, window_start, "
@@ -146,46 +131,32 @@ def build_parser() -> argparse.ArgumentParser:
             f"{WIRE_VERSION}) and print the record as hex."
         ),
     )
-    enc.add_argument(
-        "source",
-        nargs="?",
-        default="-",
-        help="JSON file to read, or '-' for stdin (default)",
-    )
-    enc.add_argument(
-        "--out", metavar="PATH", help="write the hex record here instead of stdout"
-    )
-    enc.set_defaults(func=_cmd_announce_encode)
-
-    dec = sub.add_parser(
+    dec = _announce_command(
+        sub,
         "announce-decode",
+        _cmd_announce_decode,
+        "file holding the hex record, or '-' for stdin (default)",
+        "write the JSON here instead of stdout",
         help="decode a hex announcement record to JSON",
         description="Parse a hex record, validate it, and print it as JSON.",
     )
-    dec.add_argument(
-        "source",
-        nargs="?",
-        default="-",
-        help="file holding the hex record, or '-' for stdin (default)",
-    )
     dec.add_argument("--hex", dest="hex_text", metavar="HEX", help="record given inline")
-    dec.add_argument(
-        "--out", metavar="PATH", help="write the JSON here instead of stdout"
-    )
-    dec.set_defaults(func=_cmd_announce_decode)
 
     return parser
 
 
-def _add_trace_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="trace file, one decimal sample per line")
-    sub.add_argument(
+def _trace_command(sub, name: str, func, out_flag: str, out_help: str, **kwargs):
+    """Add ``fit`` or ``scan``: the trace, its loading flags, ``--summary-out``
+    and the command's own ``out_flag``, stored as ``data_out``."""
+    cmd = sub.add_parser(name, epilog=_EPILOG, **kwargs)
+    cmd.add_argument("input", help="trace file, one decimal sample per line")
+    cmd.add_argument(
         "--offset",
         action="store_true",
         help="shift the trace to be strictly positive before fitting "
         "(for clock-difference traces that dip to or below zero)",
     )
-    sub.add_argument(
+    cmd.add_argument(
         "--history-cap",
         type=int,
         default=30000,
@@ -193,7 +164,7 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
         help="keep only the most recent N samples (default 30000; 0 keeps "
         "the whole trace)",
     )
-    sub.add_argument(
+    cmd.add_argument(
         "--max-iters",
         type=int,
         default=EMConfig.max_iters,
@@ -201,6 +172,21 @@ def _add_trace_args(sub: argparse.ArgumentParser) -> None:
         help="EM iteration budget per fit (default %(default)s; runs "
         "typically stabilize well before that)",
     )
+    cmd.add_argument(out_flag, dest="data_out", metavar="PATH", help=out_help)
+    cmd.add_argument(
+        "--summary-out", metavar="PATH", help="write the JSON summary here instead of stdout"
+    )
+    cmd.set_defaults(func=func, out_flag=out_flag)
+    return cmd
+
+
+def _announce_command(sub, name: str, func, source_help: str, out_help: str, **kwargs):
+    """Add an announce command that reads ``source`` and writes ``--out``."""
+    cmd = sub.add_parser(name, **kwargs)
+    cmd.add_argument("source", nargs="?", default="-", help=source_help)
+    cmd.add_argument("--out", metavar="PATH", help=out_help)
+    cmd.set_defaults(func=func)
+    return cmd
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -225,6 +211,11 @@ def _refuse_shared_files(*named) -> None:
 
 
 def _load_trace(args) -> JitterTrace:
+    _refuse_shared_files(
+        ("trace", args.input),
+        (args.out_flag, args.data_out),
+        ("--summary-out", args.summary_out),
+    )
     cap = args.history_cap
     if cap < 0:
         raise JitterFitError(f"--history-cap must be >= 0, got {cap}")
@@ -236,14 +227,11 @@ def _load_trace(args) -> JitterTrace:
 
 
 def _model_entry(params: ModelParams, label_count: int) -> dict:
-    entry: dict = {"kind": params.kind.name.lower()}
     if params.kind is ModelKind.EXPONENTIAL:
-        entry["rate"] = params.rate
+        fields = {"rate": params.rate}
     else:
-        entry["shape"] = params.shape
-        entry["scale"] = params.scale
-    entry["label_count"] = label_count
-    return entry
+        fields = {"shape": params.shape, "scale": params.scale}
+    return {"kind": params.kind.name.lower(), **fields, "label_count": label_count}
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -254,72 +242,64 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
+
+
+def _write_summary(args, trace: JitterTrace, **fields) -> int:
+    """Write a trace command's JSON summary, led by its source and length."""
+    _write_json({"source": trace.source, "samples": len(trace), **fields}, args.summary_out)
+    return 0
 
 
 def _cmd_fit(args) -> int:
     config = EMConfig(max_iters=args.max_iters)
-    _refuse_shared_files(
-        ("trace", args.input),
-        ("--indicator-out", args.indicator_out),
-        ("--summary-out", args.summary_out),
-    )
     trace = _load_trace(args)
     # No output holds the per-pass history, so no pass is scored.
     result = em_fit(trace, config, record_history=False)
-    if args.indicator_out:
-        emit_indicator_csv(result, args.indicator_out)
+    if args.data_out:
+        emit_indicator_csv(result, args.data_out)
     counts = np.bincount(result.labels, minlength=len(ModelKind))
-    summary = {
-        "source": trace.source,
-        "samples": len(trace),
-        "converged": result.converged,
-        "iterations_used": result.iterations_used,
-        "classification_loglik": result.classification_loglik,
-        "models": [
+    return _write_summary(
+        args,
+        trace,
+        converged=result.converged,
+        iterations_used=result.iterations_used,
+        classification_loglik=result.classification_loglik,
+        models=[
             _model_entry(params, int(counts[index]))
             for index, params in enumerate(result.final_params)
         ],
-        "warnings": list(result.warnings),
-    }
-    _write_text(_json_text(summary), args.summary_out)
-    return 0
+        warnings=list(result.warnings),
+    )
 
 
 def _cmd_scan(args) -> int:
     spec = WindowSpec(size=args.window, stride=args.stride)
     config = EMConfig(max_iters=args.max_iters)
-    _refuse_shared_files(
-        ("trace", args.input),
-        ("--windows-out", args.windows_out),
-        ("--summary-out", args.summary_out),
-    )
     trace = _load_trace(args)
     timeline = scan_trace(trace, spec, config)
-    if args.windows_out:
+    if args.data_out:
         rows = ["start,end,dominant,fraction_model0,converged"]
         rows.extend(
             f"{r.start},{r.end},{r.dominant.name.lower()},"
             f"{r.fraction_model0!r},{str(r.converged).lower()}"
             for r in timeline.reports
         )
-        _write_text("\n".join(rows) + "\n", args.windows_out)
-    summary = {
-        "source": trace.source,
-        "samples": len(trace),
-        "window": spec.size,
-        "stride": spec.stride,
-        "windows": len(timeline.reports),
-        "dominant_sequence": [r.dominant.name.lower() for r in timeline.reports],
-        "change_points": list(timeline.change_points),
-        "failures": [
+        _write_text("\n".join(rows) + "\n", args.data_out)
+    return _write_summary(
+        args,
+        trace,
+        window=spec.size,
+        stride=spec.stride,
+        windows=len(timeline.reports),
+        dominant_sequence=[r.dominant.name.lower() for r in timeline.reports],
+        change_points=list(timeline.change_points),
+        failures=[
             {"start": f.start, "end": f.end, "message": f.message}
             for f in timeline.failures
         ],
-    }
-    _write_text(_json_text(summary), args.summary_out)
-    return 0
+    )
 
 
 def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
@@ -445,10 +425,7 @@ def _cmd_announce_encode(args) -> int:
 
 
 def _cmd_announce_decode(args) -> int:
-    if args.hex_text is not None:
-        text = args.hex_text
-    else:
-        text = _read_source(args.source)
+    text = _read_source(args.source) if args.hex_text is None else args.hex_text
     compact = "".join(text.split())
     try:
         blob = bytes.fromhex(compact)
@@ -462,7 +439,7 @@ def _cmd_announce_decode(args) -> int:
         "window_start": record.window_start,
         "window_len": record.window_len,
     }
-    _write_text(_json_text(payload), args.out)
+    _write_json(payload, args.out)
     return 0
 
 

@@ -23,6 +23,7 @@ from .errors import (
     NonConvergenceError,
     ParameterDomainError,
     SingularDensityError,
+    _float_field,
 )
 from .special import _shape_terms, ln_gamma
 
@@ -65,10 +66,19 @@ MIN_SUBSET_SIZE = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
 
 
 def _finite_positive(value, name: str) -> float:
-    value = float(value)
+    value = _float_field(name, value)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterDomainError(f"{name} must be finite and positive, got {value!r}")
     return value
+
+
+def _array_field(name: str, values, dtype=np.float64, *, copy: bool = False) -> np.ndarray:
+    """``values`` as an array of ``dtype``, a new one if ``copy`` is set, or a
+    :class:`ParameterDomainError` naming the field."""
+    try:
+        return np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterDomainError(f"{name} must be an array of real numbers") from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,10 @@ class ModelParams:
     scale: float | None = None
 
     def __post_init__(self):
-        kind = ModelKind(self.kind)
+        try:
+            kind = ModelKind(self.kind)
+        except (TypeError, ValueError):
+            raise ParameterDomainError(f"unknown model kind {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
         if kind is ModelKind.EXPONENTIAL:
             if self.shape is not None or self.scale is not None:
@@ -127,7 +140,7 @@ def log_pdf(params: ModelParams, v: float) -> float:
     v = 0, which raises :class:`SingularDensityError` rather than returning
     a misleading infinity.  The one-element case of :func:`log_pdf_many`.
     """
-    return float(log_pdf_many(params, np.array([float(v)]))[0])
+    return float(log_pdf_many(params, np.array([_float_field("jitter value", v)]))[0])
 
 
 def _log_pdf_unchecked(params: ModelParams, v: np.ndarray, log_v) -> np.ndarray:
@@ -147,7 +160,7 @@ def _log_pdf_unchecked(params: ModelParams, v: np.ndarray, log_v) -> np.ndarray:
 
 def log_pdf_many(params: ModelParams, values) -> np.ndarray:
     """Vectorized :func:`log_pdf` over a 1-d array of jitter values."""
-    v = np.asarray(values, dtype=np.float64)
+    v = _array_field("jitter values", values)
     if not np.all(np.isfinite(v)):
         raise ParameterDomainError("jitter values must all be finite")
     out = np.full(v.shape, -np.inf, dtype=np.float64)
@@ -232,7 +245,7 @@ def _fit_gamma(rows: np.ndarray) -> ModelParams:
 def _checked_samples(samples, what: str) -> np.ndarray:
     """``samples`` as a float64 array, which must be 1-d and hold finite
     positive values for the ``what`` to fit."""
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = _array_field(f"{what} samples", samples)
     if arr.ndim != 1:
         raise ParameterDomainError(f"{what} expects a 1-d array of samples")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):

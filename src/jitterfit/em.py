@@ -12,7 +12,7 @@ once, so over the sorted samples the labels form at most three contiguous
 runs.  :func:`em_fit` sorts each trace once, into the first row of one
 array whose second row holds the logs, ``[s; ln s]``, and works on those
 runs.  It finds the flips of ``d`` by galloping from where they were on the
-previous pass (from the start of each monotone piece on the first pass),
+previous pass (on the first pass, by bisecting each monotone piece),
 evaluating ``d`` inline at each probe.  It refits the exponential on its
 runs of the first row and the gamma on its runs of both rows, summed by one
 reduction along the rows, and stops when the run boundaries repeat.  Samples too
@@ -66,7 +66,6 @@ from .errors import (
     SetupError,
     _int_field,
 )
-from .special import ln_gamma
 from .traceio import JitterTrace
 
 __all__ = [
@@ -215,14 +214,13 @@ def _edge(s: np.ndarray, logs: np.ndarray, sA, sB, sC, x, guess: int, lo: int, h
     ``sA * logs[i] + sB * s[i] + sC``, evaluated inline in that order,
     searched outward from ``guess``.
 
-    Probes 1, 2, 4, ... places on from the last one gallop away from
-    ``guess`` (or the middle, when it lies outside [lo, hi)) until the key
-    crosses ``x``; the next step leaves the bracket, so the search bisects
-    it from there.  Each probe makes the bisection's own comparison, so on a
-    key that is below ``x`` on a prefix of [lo, hi) the result is the plain
-    bisection's wherever the search starts.
+    Probes 1, 2, 4, ... places on from the last one gallop away from a
+    ``guess`` in [lo, hi) until the key crosses ``x``, then bisect the
+    bracket; any other ``guess`` starts a plain bisection.  Each probe makes
+    the bisection's own comparison, so on a key below ``x`` on a prefix of
+    [lo, hi) the result is the plain bisection's wherever the search starts.
     """
-    step = 1
+    step = 1 if lo <= guess < hi else hi - lo
     while lo < hi:
         i = guess if lo <= guess < hi else (lo + hi) // 2
         if sA * logs.item(i) + sB * s.item(i) + sC < x:
@@ -262,17 +260,17 @@ def _label_runs(
 
     ``lows`` maps each piece, ``(side of the split, sign of its slope)``, to
     its low band edges on the last two passes over ``s``, newest first, and
-    is updated in place; the piece's start stands in for a pass that did not
-    run.  The search for a piece's low edge gallops from the edge
-    extrapolated from those two, and the search for its high edge from the
-    new low edge.  Wherever a search starts, it returns the edge a bisection
-    of the piece finds.
+    is updated in place; a piece's first pass bisects it for its low edge
+    and stores that edge as both entries.  Later searches for a piece's low
+    edge gallop from the edge extrapolated from those two, and the search
+    for its high edge from the new low edge.  Wherever a search starts, it
+    returns the edge a bisection of the piece finds.
     """
     exponential, gamma = params
     a, b, rate = gamma.shape, gamma.scale, exponential.rate
     A = a - 1.0
     B = rate - 1.0 / b
-    log_norm = a * math.log(b) + ln_gamma(a)
+    log_norm = a * math.log(b) + math.lgamma(a)  # the fits keep a finite and capped
     log_rate = math.log(rate)
     C = -log_norm - log_rate
     n = s.size
@@ -301,10 +299,10 @@ def _label_runs(
         sign = 1.0 if slope >= 0.0 else -1.0
         sA, sB, sC = sign * A, sign * B, sign * C
         piece = (side, sign)
-        last, before = lows.get(piece, (start, start))
+        last, before = lows.get(piece, (-1, -1))
         low = _edge(s, logs, sA, sB, sC, -T, 2 * last - before, start, stop)
         high = _edge(s, logs, sA, sB, sC, above, low, low, stop)
-        lows[piece] = (low, last)
+        lows[piece] = (low, last if last >= 0 else low)
         pieces.append((start, low, int(sign < 0.0)))
         if low < high:
             pieces.extend(_band(s, logs, params, low, high))
@@ -438,7 +436,7 @@ def em_fit(
     The samples are sorted once.  Each pass labels them as at most three
     runs by the sign of the log-density difference (see the module notes),
     finding the flips by galloping from the previous pass's band edges, or
-    from the start of each piece on the first pass, then refits each model
+    by bisecting each piece on the first pass, then refits each model
     on its runs and compares run boundaries with the previous pass.  Ties,
     including those that rounding makes in the normalized densities, go to
     model 0, the exponential, as in :func:`hard_assign`.  Every fit sums its

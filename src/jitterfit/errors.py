@@ -40,6 +40,14 @@ def _int_field(name: str, value) -> int:
     return result
 
 
+def _float_field(name: str, value) -> float:
+    """``float(value)``, or a :class:`ParameterDomainError` naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterDomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 class SingularDensityError(JitterFitError, ValueError):
     """A density was evaluated at a point where it diverges."""
 

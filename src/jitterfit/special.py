@@ -14,7 +14,7 @@ Only scalars are handled here; the density code vectorizes around these.
 
 import math
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, _float_field
 
 __all__ = ["ln_gamma", "digamma", "trigamma"]
 
@@ -44,7 +44,7 @@ _TRIGAMMA_COEFFS = (
 
 
 def _checked(x, name: str) -> float:
-    x = float(x)
+    x = _float_field(f"{name} argument", x)
     # The comparison is false for NaN as well as for x <= 0.
     if not x > 0.0:
         raise ParameterDomainError(f"{name} is defined here only for x > 0, got {x!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import ModelKind, ModelParams, _unchecked
+from .distributions import ModelKind, ModelParams, _array_field, _unchecked
 from .errors import (
     InsufficientDataError,
     NonConvergenceError,
@@ -46,7 +46,7 @@ class JitterTrace:
     source: str = "memory"
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        arr = _array_field("jitter samples", self.samples, copy=True)
         if arr.ndim != 1:
             raise ParameterDomainError("a trace must be a 1-d sequence of samples")
         if arr.size == 0:
@@ -619,7 +619,7 @@ class LabeledTrace:
     truth_labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.array(self.truth_labels, dtype=np.int64, copy=True)
+        labels = _array_field("truth labels", self.truth_labels, np.int64, copy=True)
         if labels.shape != (len(self.trace),):
             raise ParameterDomainError("truth labels must match the trace length")
         labels.setflags(write=False)

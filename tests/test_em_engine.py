@@ -63,7 +63,12 @@ from jitterfit.em import (
     _responsibilities,
     _trace_results,
 )
-from jitterfit.distributions import _log_pdf_unchecked, _sorted_rows
+from jitterfit.distributions import (
+    _fit_exponential,
+    _fit_gamma,
+    _log_pdf_unchecked,
+    _sorted_rows,
+)
 from jitterfit.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -739,6 +744,47 @@ def test_gallop_finds_the_bisection_edge_from_any_guess(keys, x, data):
     want = bisect.bisect_left(range(hi), x, lo, hi, key=keys.__getitem__)
     # The keys stand in for the logs, and 1 * key + 0 * 0.0 + 0 is the key.
     assert _edge(np.zeros(n), np.array(keys, dtype=np.int64), 1, 0, 0, x, guess, lo, hi) == want
+
+
+
+class _CountedItems:
+    """An array whose ``item`` calls are counted in ``calls``."""
+
+    def __init__(self, array: np.ndarray, calls: list):
+        self.array, self.calls = array, calls
+
+    def item(self, index: int) -> float:
+        self.calls.append(index)
+        return self.array.item(index)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((ModelParams.gamma(4.0, 1.0), 1750), (ModelParams.exponential(1.0), 1750)),
+        ((ModelParams.gamma(0.5, 2.0), 1750), (ModelParams.exponential(1.0), 1750)),
+        ((ModelParams.gamma(4.0, 1.0), 3500),),
+        ((ModelParams.exponential(1.0), 3500),),
+    ],
+)
+def test_first_pass_bisects_each_piece(monkeypatch, segments, seed):
+    # With no earlier pass to gallop from, each piece's low edge is a plain
+    # bisection of the piece, and the high edge a search on from it: on a
+    # 3500-sample window, 2 * (12 + 2) = 28 key evaluations at most for
+    # both pieces together.  Galloping from each piece's start takes about
+    # twice a bisection's probes.
+    rows = _sorted_rows(_mix(*segments, seed=seed).samples)
+    params = [_fit_exponential(rows[0]), _fit_gamma(rows)]
+    calls: list[int] = []
+    edge = em._edge
+    monkeypatch.setattr(
+        em, "_edge", lambda s, logs, *rest: edge(s, _CountedItems(logs, calls), *rest)
+    )
+    with np.errstate(over="ignore"):
+        _label_runs(rows[0], rows[1], params, {})
+    n = rows.shape[1]
+    assert 0 < len(calls) <= 2 * (math.ceil(math.log2(n)) + 2)
 
 
 _PIECES = [(side, sign) for side in (0, 1) for sign in (1.0, -1.0)]

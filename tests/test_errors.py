@@ -1,11 +1,28 @@
 """Integer fields of the public specs: a value that is not a whole number is
-a named error, never a silent truncation."""
+a named error, never a silent truncation.  Numeric fields and arrays: a value
+that is not a number is a named error, never numpy's or ``float()``'s bare
+exception."""
 
 from decimal import Decimal
 
 import pytest
 
-from jitterfit import EMConfig, ModelParams, ParameterDomainError, RegimeSpec, WindowSpec
+from jitterfit import (
+    EMConfig,
+    JitterTrace,
+    LabeledTrace,
+    ModelParams,
+    ParameterDomainError,
+    RegimeSpec,
+    WindowSpec,
+    WireFormatError,
+    decode,
+    digamma,
+    log_pdf,
+    log_pdf_many,
+    mle_exponential,
+    mle_gamma,
+)
 
 
 @pytest.mark.parametrize(
@@ -33,3 +50,61 @@ def test_integer_fields_reject_fractions(build, message):
     with pytest.raises(ParameterDomainError) as caught:
         build()
     assert str(caught.value) == message
+
+
+_EXPONENTIAL = ModelParams.exponential(1.0)
+_TRACE = JitterTrace([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: JitterTrace(["x"]), ParameterDomainError, "jitter samples must be"),
+        (lambda: JitterTrace([1j]), ParameterDomainError, "jitter samples must be"),
+        (
+            lambda: JitterTrace([[1.0, 2.0], [3.0]]),
+            ParameterDomainError,
+            "jitter samples must be",
+        ),
+        (lambda: mle_gamma(["x"]), ParameterDomainError, "gamma fit samples must be"),
+        (
+            lambda: mle_exponential([object()]),
+            ParameterDomainError,
+            "exponential fit samples must be",
+        ),
+        (
+            lambda: log_pdf_many(_EXPONENTIAL, ["x"]),
+            ParameterDomainError,
+            "jitter values must be",
+        ),
+        (lambda: log_pdf(_EXPONENTIAL, "x"), ParameterDomainError, "jitter value must be"),
+        (lambda: ModelParams.exponential("x"), ParameterDomainError, "rate must be"),
+        (lambda: ModelParams.gamma(None, 1.0), ParameterDomainError, "shape must be"),
+        (lambda: ModelParams(5, rate=1.0), ParameterDomainError, "unknown model kind 5"),
+        (lambda: LabeledTrace(_TRACE, ["a"]), ParameterDomainError, "truth labels must be"),
+        (lambda: digamma("x"), ParameterDomainError, "digamma argument must be"),
+        (lambda: decode("zz"), WireFormatError, "a record must be bytes, got str"),
+        (lambda: decode(None), WireFormatError, "a record must be bytes, got NoneType"),
+    ],
+    ids=[
+        "trace of text",
+        "trace of complex",
+        "ragged trace",
+        "mle_gamma",
+        "mle_exponential",
+        "log_pdf_many",
+        "log_pdf",
+        "rate",
+        "shape",
+        "kind",
+        "truth labels",
+        "digamma",
+        "decode text",
+        "decode None",
+    ],
+)
+def test_fields_that_are_not_numbers_are_named(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)
