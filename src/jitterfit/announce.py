@@ -29,7 +29,7 @@ import numbers
 import struct
 from dataclasses import dataclass
 
-from .distributions import ModelKind, ModelParams
+from .distributions import ModelKind, ModelParams, _PARAM_NAMES
 from .errors import WireFormatError
 
 __all__ = ["WIRE_VERSION", "RegimeAnnouncement", "encode", "decode"]
@@ -37,7 +37,6 @@ __all__ = ["WIRE_VERSION", "RegimeAnnouncement", "encode", "decode"]
 WIRE_VERSION = 1
 
 _U32_MAX = 0xFFFFFFFF
-_PARAM_COUNT = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
 
 
 def _is_int(value) -> bool:
@@ -82,11 +81,11 @@ class RegimeAnnouncement:
             raise WireFormatError(
                 f"unsupported format version {self.version!r}; this build speaks {WIRE_VERSION}"
             )
-        if not _is_int(self.model) or self.model not in _PARAM_COUNT:
+        if not _is_int(self.model) or self.model not in _PARAM_NAMES:
             raise WireFormatError(f"unknown model id {self.model!r}")
         model = ModelKind(self.model)
         object.__setattr__(self, "model", model)
-        expected = _PARAM_COUNT[model]
+        expected = len(_PARAM_NAMES[model])
         if len(params) != expected:
             raise WireFormatError(
                 f"{model.name.lower()} announcements carry {expected} parameter(s), "
@@ -113,13 +112,9 @@ class RegimeAnnouncement:
         cls, params: ModelParams, window_start: int, window_len: int
     ) -> "RegimeAnnouncement":
         """Build an announcement from a fitted model."""
-        if params.kind is ModelKind.EXPONENTIAL:
-            values: tuple[float, ...] = (params.rate,)
-        else:
-            values = (params.shape, params.scale)
         return cls(
             model=params.kind,
-            params=values,
+            params=params.values,
             window_start=window_start,
             window_len=window_len,
         )

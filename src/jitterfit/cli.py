@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .announce import RegimeAnnouncement, WIRE_VERSION, decode, encode
-from .distributions import ModelKind, ModelParams, _unchecked
+from .distributions import ModelKind, ModelParams, _PARAM_NAMES, _unchecked
 from .em import EMConfig, em_fit
 from .errors import JitterFitError
 from .scan import WindowSpec, scan_trace
@@ -227,10 +227,7 @@ def _load_trace(args) -> JitterTrace:
 
 
 def _model_entry(params: ModelParams, label_count: int) -> dict:
-    if params.kind is ModelKind.EXPONENTIAL:
-        fields = {"rate": params.rate}
-    else:
-        fields = {"shape": params.shape, "scale": params.scale}
+    fields = dict(zip(_PARAM_NAMES[params.kind], params.values))
     return {"kind": params.kind.name.lower(), **fields, "label_count": label_count}
 
 
@@ -302,6 +299,17 @@ def _cmd_scan(args) -> int:
     )
 
 
+# Each segment kind's ModelParams builder, the names of its arguments in
+# order, and the usage its errors quote.
+_SEGMENT_KINDS = {
+    "exp": (ModelParams.exponential, ("mu",), "an exponential segment takes exactly mu=<rate>"),
+    "gamma": (
+        ModelParams.gamma, ("a", "b"), "a gamma segment takes exactly a=<shape> and b=<scale>"
+    ),
+}
+_SEGMENT_KINDS["exponential"] = _SEGMENT_KINDS["exp"]
+
+
 def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
     segments = []
     for part in text.split(","):
@@ -331,26 +339,16 @@ def _parse_segments(text: str) -> tuple[tuple[ModelParams, int], ...]:
                 raise JitterFitError(
                     f"bad segment {descriptor!r}: {value!r} is not a number"
                 ) from None
-        if kind in ("exp", "exponential"):
-            if set(settings) != {"mu"}:
-                raise JitterFitError(
-                    f"bad segment {descriptor!r}: an exponential segment takes "
-                    "exactly mu=<rate>"
-                )
-            params = ModelParams.exponential(settings["mu"])
-        elif kind == "gamma":
-            if set(settings) != {"a", "b"}:
-                raise JitterFitError(
-                    f"bad segment {descriptor!r}: a gamma segment takes exactly "
-                    "a=<shape> and b=<scale>"
-                )
-            params = ModelParams.gamma(settings["a"], settings["b"])
-        else:
+        try:
+            build, names, usage = _SEGMENT_KINDS[kind]
+        except KeyError:
             raise JitterFitError(
                 f"bad segment {descriptor!r}: unknown kind {kind!r} "
                 "(use exp or gamma)"
-            )
-        segments.append((params, length))
+            ) from None
+        if set(settings) != set(names):
+            raise JitterFitError(f"bad segment {descriptor!r}: {usage}")
+        segments.append((build(*(settings[name] for name in names)), length))
     return tuple(segments)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ParameterDomainError,
     SingularDensityError,
     _float_field,
+    _positive_field,
 )
 from .special import _shape_terms, ln_gamma
 
@@ -64,18 +65,18 @@ class ModelKind(IntEnum):
 # one sample, the gamma shape solve needs two distinct ones.
 MIN_SUBSET_SIZE = {ModelKind.EXPONENTIAL: 1, ModelKind.GAMMA: 2}
 
-
-def _finite_positive(value, name: str) -> float:
-    value = _float_field(name, value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterDomainError(f"{name} must be finite and positive, got {value!r}")
-    return value
+# The parameter fields of each family, in the order announcement records and
+# summaries list them.
+_PARAM_NAMES = {ModelKind.EXPONENTIAL: ("rate",), ModelKind.GAMMA: ("shape", "scale")}
 
 
 def _array_field(name: str, values, dtype=np.float64, *, copy: bool = False) -> np.ndarray:
     """``values`` as an array of ``dtype``, a new one if ``copy`` is set, or a
-    :class:`ParameterDomainError` naming the field."""
+    :class:`ParameterDomainError` naming the field.  Complex values are
+    refused, not cut to their real parts."""
     try:
+        if np.iscomplexobj(values):
+            raise TypeError
         return np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise ParameterDomainError(f"{name} must be an array of real numbers") from None
@@ -85,8 +86,9 @@ def _array_field(name: str, values, dtype=np.float64, *, copy: bool = False) -> 
 class ModelParams:
     """Parameter set for one candidate model.
 
-    Exactly the fields that belong to ``kind`` are populated: ``rate`` for
-    an exponential model, ``shape`` and ``scale`` for a gamma model.  The
+    Exactly the fields that belong to ``kind`` are populated, each finite
+    and positive: ``rate`` for an exponential model, ``shape`` and ``scale``
+    for a gamma model.  :attr:`values` lists them in that order.  The
     constructors :meth:`exponential` and :meth:`gamma` are the intended way
     to build one.
     """
@@ -102,15 +104,18 @@ class ModelParams:
         except (TypeError, ValueError):
             raise ParameterDomainError(f"unknown model kind {self.kind!r}") from None
         object.__setattr__(self, "kind", kind)
-        if kind is ModelKind.EXPONENTIAL:
-            if self.shape is not None or self.scale is not None:
-                raise ParameterDomainError("an exponential model has no shape or scale")
-            object.__setattr__(self, "rate", _finite_positive(self.rate, "rate"))
-        else:
-            if self.rate is not None:
-                raise ParameterDomainError("a gamma model has no rate field")
-            object.__setattr__(self, "shape", _finite_positive(self.shape, "shape"))
-            object.__setattr__(self, "scale", _finite_positive(self.scale, "scale"))
+        names = _PARAM_NAMES[kind]
+        for name in ("rate", "shape", "scale"):
+            if name not in names and getattr(self, name) is not None:
+                raise ParameterDomainError(f"{kind.name.lower()} models have no {name} field")
+        for name in names:
+            object.__setattr__(self, name, _positive_field(name, getattr(self, name)))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The kind's parameters in record order: ``(rate,)`` or
+        ``(shape, scale)``."""
+        return tuple(getattr(self, name) for name in _PARAM_NAMES[self.kind])
 
     @classmethod
     def exponential(cls, rate: float) -> "ModelParams":
@@ -242,10 +247,10 @@ def _fit_gamma(rows: np.ndarray) -> ModelParams:
     return _gamma_from_log_moments(mean, gap)
 
 
-def _checked_samples(samples, what: str) -> np.ndarray:
-    """``samples`` as a float64 array, which must be 1-d and hold finite
-    positive values for the ``what`` to fit."""
-    arr = _array_field(f"{what} samples", samples)
+def _checked_samples(samples, what: str, *, copy: bool = False) -> np.ndarray:
+    """``samples`` as a float64 array, a new one if ``copy`` is set, which
+    must be 1-d and hold finite positive values for the ``what``."""
+    arr = _array_field(f"{what} samples", samples, copy=copy)
     if arr.ndim != 1:
         raise ParameterDomainError(f"{what} expects a 1-d array of samples")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):

@@ -5,6 +5,7 @@ Everything raised on purpose derives from :class:`JitterFitError`, so callers
 apart by subclass.
 """
 
+import math
 import numbers
 
 __all__ = [
@@ -46,6 +47,15 @@ def _float_field(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterDomainError(f"{name} must be a real number, got {value!r}") from None
+
+
+def _positive_field(name: str, value) -> float:
+    """:func:`_float_field`, which must also be finite and positive."""
+    value = _float_field(name, value)
+    # The comparison is false for NaN as well as for value <= 0.
+    if not 0.0 < value < math.inf:
+        raise ParameterDomainError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 class SingularDensityError(JitterFitError, ValueError):

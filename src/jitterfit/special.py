@@ -1,7 +1,7 @@
 """Log-gamma, digamma, and trigamma for positive real arguments.
 
-``ln_gamma`` is the standard library's ``math.lgamma`` behind this module's
-domain check.  The standard library has no polygamma, so digamma and
+``ln_gamma`` is the standard library's ``math.lgamma`` behind the package's
+finite-positive check.  The standard library has no polygamma, so digamma and
 trigamma are self-contained: one recurrence lifts the argument until the
 asymptotic (Stirling-type) expansion is trustworthy, then the expansion is
 summed with Bernoulli-number coefficients.  Digamma and trigamma share that
@@ -14,7 +14,7 @@ Only scalars are handled here; the density code vectorizes around these.
 
 import math
 
-from .errors import ParameterDomainError, _float_field
+from .errors import _positive_field
 
 __all__ = ["ln_gamma", "digamma", "trigamma"]
 
@@ -43,16 +43,6 @@ _TRIGAMMA_COEFFS = (
 )
 
 
-def _checked(x, name: str) -> float:
-    x = _float_field(f"{name} argument", x)
-    # The comparison is false for NaN as well as for x <= 0.
-    if not x > 0.0:
-        raise ParameterDomainError(f"{name} is defined here only for x > 0, got {x!r}")
-    if math.isinf(x):
-        raise ParameterDomainError(f"{name} needs a finite argument, got {x!r}")
-    return x
-
-
 def _even_series(coeffs, r: float) -> float:
     """Evaluate sum(c_n * r**n for n = 1..7) / r via Horner, for the seven
     coefficients of one expansion."""
@@ -64,7 +54,7 @@ def ln_gamma(x: float) -> float:
     """Natural logarithm of the gamma function, x > 0; ``inf`` where it is
     past the largest double (x above about 2.56e305)."""
     try:
-        return math.lgamma(_checked(x, "ln_gamma"))
+        return math.lgamma(_positive_field("ln_gamma argument", x))
     except OverflowError:
         return math.inf
 
@@ -94,13 +84,13 @@ def _polygammas(x: float) -> tuple[float, float]:
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function, x > 0."""
-    return _polygammas(_checked(x, "digamma"))[0]
+    return _polygammas(_positive_field("digamma argument", x))[0]
 
 
 def trigamma(x: float) -> float:
     """Derivative of the digamma function, x > 0; ``inf`` where it is past
     the largest double."""
-    return _polygammas(_checked(x, "trigamma"))[1]
+    return _polygammas(_positive_field("trigamma argument", x))[1]
 
 
 def _shape_terms(x: float) -> tuple[float, float]:

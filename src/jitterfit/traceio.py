@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .distributions import ModelKind, ModelParams, _array_field, _unchecked
+from .distributions import ModelKind, ModelParams, _array_field, _checked_samples, _unchecked
 from .errors import (
     InsufficientDataError,
     NonConvergenceError,
@@ -46,15 +46,9 @@ class JitterTrace:
     source: str = "memory"
 
     def __post_init__(self):
-        arr = _array_field("jitter samples", self.samples, copy=True)
-        if arr.ndim != 1:
-            raise ParameterDomainError("a trace must be a 1-d sequence of samples")
+        arr = _checked_samples(self.samples, "jitter", copy=True)
         if arr.size == 0:
             raise InsufficientDataError("a trace needs at least one sample")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterDomainError("jitter samples must be finite")
-        if np.any(arr <= 0.0):
-            raise ParameterDomainError("jitter samples must be positive")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -613,15 +607,21 @@ class RegimeSpec:
 @dataclass(frozen=True)
 class LabeledTrace:
     """A synthetic trace plus the ground-truth segment index per sample, as
-    int64 labels the constructor copies and :func:`generate_synthetic` hands over."""
+    int64 labels the constructor copies and :func:`generate_synthetic` hands over.
+    The constructor refuses labels that are not whole numbers."""
 
     trace: JitterTrace
     truth_labels: np.ndarray
 
     def __post_init__(self):
-        labels = _array_field("truth labels", self.truth_labels, np.int64, copy=True)
+        # A NaN or an infinity casts to some integer; the comparison below
+        # refuses it with the fractions.
+        with np.errstate(invalid="ignore"):
+            labels = _array_field("truth labels", self.truth_labels, np.int64, copy=True)
         if labels.shape != (len(self.trace),):
             raise ParameterDomainError("truth labels must match the trace length")
+        if not np.array_equal(labels, self.truth_labels):
+            raise ParameterDomainError("truth labels must be whole numbers")
         labels.setflags(write=False)
         object.__setattr__(self, "truth_labels", labels)
 

@@ -301,6 +301,28 @@ def test_scan_summary_and_windows_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_scan_reports_a_failed_window_in_the_summary_only(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    constant = np.full(100, 0.25)
+    samples = np.concatenate([rng.gamma(4.0, 1.0, 100), constant, rng.exponential(1.0, 100)])
+    trace = tmp_path / "t.txt"
+    write_trace(JitterTrace(samples), trace)
+    windows = tmp_path / "windows.csv"
+    assert main(["scan", str(trace), "--window", "100", "--windows-out", str(windows)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["windows"] == 2
+    assert summary["failures"] == [
+        {
+            "start": 100,
+            "end": 200,
+            "message": "initial fit failed for model 1 (gamma): samples show no usable "
+            "spread (log-moment gap s = 0.0); the gamma likelihood has no finite optimum",
+        }
+    ]
+    rows = windows.read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "100"], ["200", "300"]]
+
+
 def test_scan_stride_defaults_to_window(tmp_path, capsys):
     trace = _gen(tmp_path)
     capsys.readouterr()
@@ -533,11 +555,35 @@ def test_bad_segment_descriptors(tmp_path, capsys, segments):
     [
         ("exp:mu=1:ten", "bad segment 'exp:mu=1:ten': length 'ten' is not an integer"),
         ("exp:mu1:1000", "bad segment 'exp:mu1:1000': expected param=value, got 'mu1'"),
+        (
+            "exp:mu=1:a=2:1000",
+            "bad segment 'exp:mu=1:a=2:1000': an exponential segment takes exactly mu=<rate>",
+        ),
+        (
+            "Exponential:rate=1:10",
+            "bad segment 'Exponential:rate=1:10': an exponential segment takes exactly "
+            "mu=<rate>",
+        ),
+        (
+            "gamma:a=4:1000",
+            "bad segment 'gamma:a=4:1000': a gamma segment takes exactly a=<shape> and "
+            "b=<scale>",
+        ),
+        (
+            "pareto:a=1:1000",
+            "bad segment 'pareto:a=1:1000': unknown kind 'pareto' (use exp or gamma)",
+        ),
     ],
 )
 def test_bad_segment_descriptors_name_the_fault(tmp_path, capsys, segments, message):
     assert main(["gen", str(tmp_path / "t.txt"), "--segments", segments]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_gen_takes_exponential_for_exp(tmp_path, capsys):
+    for kind in ("exp", "exponential"):
+        assert main(["gen", str(tmp_path / kind), "--segments", f"{kind}:mu=2:10"]) == 0
+    assert (tmp_path / "exp").read_bytes() == (tmp_path / "exponential").read_bytes()
 
 
 def test_announce_encode_decode_round_trip(tmp_path, capsys):

@@ -149,6 +149,27 @@ def test_model_params_validation():
         ModelParams(7, rate=1.0)
 
 
+def test_model_params_refuse_another_kinds_fields_by_name():
+    with pytest.raises(ParameterDomainError, match="^exponential models have no scale field$"):
+        ModelParams(ModelKind.EXPONENTIAL, rate=1.0, scale=2.0)
+    with pytest.raises(ParameterDomainError, match="^gamma models have no rate field$"):
+        ModelParams(ModelKind.GAMMA, rate=1.0, shape=2.0, scale=3.0)
+    with pytest.raises(ParameterDomainError) as caught:
+        ModelParams.gamma(2.0, -1.0)
+    assert str(caught.value) == "scale must be finite and positive, got -1.0"
+
+
+def test_model_params_values_list_the_kinds_parameters_in_record_order():
+    assert ModelParams.exponential(2).values == (2.0,)
+    assert ModelParams.gamma(4, 0.5).values == (4.0, 0.5)
+    x = np.random.default_rng(3).gamma(2.0, 1.5, 500)
+    exponential, gamma = mle_exponential(x), mle_gamma(x)
+    assert exponential.values == (exponential.rate,)
+    assert gamma.values == (gamma.shape, gamma.scale)
+    with pytest.raises(AttributeError):
+        gamma.values = (1.0, 1.0)
+
+
 def test_model_kind_codes():
     # The numeric codes are load-bearing (tie-breaks and the wire format).
     assert int(ModelKind.EXPONENTIAL) == 0

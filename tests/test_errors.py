@@ -5,6 +5,7 @@ exception."""
 
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from jitterfit import (
@@ -82,6 +83,31 @@ _TRACE = JitterTrace([1.0, 2.0])
         (lambda: ModelParams.gamma(None, 1.0), ParameterDomainError, "shape must be"),
         (lambda: ModelParams(5, rate=1.0), ParameterDomainError, "unknown model kind 5"),
         (lambda: LabeledTrace(_TRACE, ["a"]), ParameterDomainError, "truth labels must be"),
+        (
+            lambda: LabeledTrace(_TRACE, [0.5, 1.7]),
+            ParameterDomainError,
+            "truth labels must be whole numbers",
+        ),
+        (
+            lambda: LabeledTrace(_TRACE, np.array([0.0, np.nan])),
+            ParameterDomainError,
+            "truth labels must be whole numbers",
+        ),
+        (
+            lambda: JitterTrace(np.array([1 + 1j, 2])),
+            ParameterDomainError,
+            "jitter samples must be",
+        ),
+        (
+            lambda: mle_gamma(np.array([1.0, 2.0], dtype=np.complex64)),
+            ParameterDomainError,
+            "gamma fit samples must be",
+        ),
+        (
+            lambda: log_pdf_many(_EXPONENTIAL, np.array([1 + 0j])),
+            ParameterDomainError,
+            "jitter values must be",
+        ),
         (lambda: digamma("x"), ParameterDomainError, "digamma argument must be"),
         (lambda: decode("zz"), WireFormatError, "a record must be bytes, got str"),
         (lambda: decode(None), WireFormatError, "a record must be bytes, got NoneType"),
@@ -98,6 +124,11 @@ _TRACE = JitterTrace([1.0, 2.0])
         "shape",
         "kind",
         "truth labels",
+        "fractional truth labels",
+        "NaN truth labels",
+        "trace of complex array",
+        "mle_gamma of complex array",
+        "log_pdf_many of complex array",
         "digamma",
         "decode text",
         "decode None",

@@ -71,3 +71,20 @@ def test_every_private_constant_and_class_has_a_reader_in_src():
     assert defined, "no private constants found; is SRC right?"
     unread = sorted(where for where, name in defined.items() if name not in referenced)
     assert unread == [], f"private constants and classes with no reader in src/: {unread}"
+
+
+def test_only_distributions_knows_each_kinds_parameters():
+    # Which parameters each model kind has is stated once, in distributions;
+    # the modules that print or pack a model's parameters read them from there
+    # and never branch on the kind.
+    for module in ("cli", "announce", "scan"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        named = sorted(
+            f"line {node.lineno}: ModelKind.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "ModelKind"
+            and node.attr in ("EXPONENTIAL", "GAMMA")
+        )
+        assert named == [], f"{module}.py names a model kind: {named}"

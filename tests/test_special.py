@@ -115,6 +115,15 @@ def test_domain_rejected(fn, bad):
         fn(bad)
 
 
+@pytest.mark.parametrize("fn", [ln_gamma, digamma, trigamma])
+def test_domain_error_names_the_argument(fn):
+    for bad in (0.0, float("inf")):
+        with pytest.raises(ParameterDomainError) as caught:
+            fn(bad)
+        expected = f"{fn.__name__} argument must be finite and positive, got {bad!r}"
+        assert str(caught.value) == expected
+
+
 def _digamma_by_its_own_loop(x: float) -> float:
     """digamma(x) as it was computed before it shared trigamma's loop."""
     shift = 0.0

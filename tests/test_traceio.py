@@ -774,6 +774,17 @@ def test_trace_validation():
         JitterTrace(np.array([1.0, float("nan")]))
 
 
+def test_trace_checks_its_samples_as_the_fits_do():
+    for samples, message in (
+        (np.array([[1.0, 2.0]]), "jitter expects a 1-d array of samples"),
+        (np.array([1.0, 0.0]), "jitter requires finite positive samples"),
+        (np.array([1.0, float("inf")]), "jitter requires finite positive samples"),
+    ):
+        with pytest.raises(ParameterDomainError) as caught:
+            JitterTrace(samples)
+        assert str(caught.value) == message
+
+
 def test_trace_copies_and_freezes_samples():
     source = np.array([1.0, 2.0, 3.0])
     trace = JitterTrace(source)
